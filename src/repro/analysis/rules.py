@@ -24,9 +24,10 @@ rules check every line of the tree on every CI run.
 * **REPRO003** — volatile (host-dependent) fields may only live under
   ``extra``/``meta`` containers, never be written into canonical or
   fingerprinted dicts.
-* **REPRO004** — ``compile``/``exec``/``eval`` only in the sanctioned
-  codegen/translator modules; everywhere else dynamic code execution
-  is a determinism and safety hazard.
+* **REPRO004** — ``compile``/``exec``/``eval`` (and ``marshal.loads``,
+  which materializes code objects) only in the sanctioned
+  codegen/translator/code-cache modules; everywhere else dynamic code
+  execution is a determinism and safety hazard.
 """
 
 from __future__ import annotations
@@ -56,9 +57,12 @@ TELEMETRY_FILES: Tuple[str, ...] = ("obs/telemetry.py",
 #: sanitizer (repro.analysis.sanitizer).  The megablock tier's chain
 #: compiler (exit-stub emission + compile) lives in vm/chain.py and is
 #: vetted by the same sanitizer, including its chained-dispatch calls.
+#: The persistent code cache unmarshals code objects the sanitizer
+#: vetted in an earlier process, checking each entry's digest first.
 SANCTIONED_DYNAMIC_CODE: FrozenSet[str] = frozenset({
     "vm/translator.py",
     "vm/chain.py",
+    "exec/codecache.py",
 })
 
 
@@ -179,7 +183,7 @@ class StoreDisciplineRule(Rule):
 
     #: substrings marking a module as store code
     STORE_MARKERS: Tuple[str, ...] = ("results-v2", "checkpoints-v1",
-                                      "telemetry-v1")
+                                      "telemetry-v1", "codecache-v1")
 
     def applies_to(self, source: SourceFile) -> bool:
         if source.rel.startswith("exec/"):
@@ -342,7 +346,10 @@ class DynamicCodeRule(Rule):
     id = "REPRO004"
     title = "dynamic code execution outside sanctioned modules"
 
-    BANNED = frozenset({"compile", "exec", "eval", "__import__"})
+    #: callee names as written; the dotted ones turn bytes into code
+    #: objects
+    BANNED = frozenset({"compile", "exec", "eval", "__import__",
+                        "marshal.load", "marshal.loads"})
 
     def applies_to(self, source: SourceFile) -> bool:
         return source.rel not in SANCTIONED_DYNAMIC_CODE
@@ -352,11 +359,11 @@ class DynamicCodeRule(Rule):
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
                 continue
-            if (isinstance(node.func, ast.Name)
-                    and node.func.id in self.BANNED):
+            name = dotted_name(node.func)
+            if name in self.BANNED:
                 findings.append(source.finding(
                     self.id, node,
-                    f"{node.func.id}() outside the sanctioned "
+                    f"{name}() outside the sanctioned "
                     "codegen/translator modules (see "
                     "SANCTIONED_DYNAMIC_CODE)"))
         return findings

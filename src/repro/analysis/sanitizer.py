@@ -28,9 +28,13 @@ against a whitelist —
 * ``raise`` only constructs environment trap types or re-raises a
   local.
 
-The check runs once per *unique* block (the translator's host code
-cache skips it on hits) and is on by default; ``REPRO_SANITIZE=0``
-disables it (escape hatch for perf experiments).  Accept/reject
+The check is one walk over the tree (see "the one-pass checker"
+below) and returns the tree, so the translator compiles what was
+vetted without parsing it again.  It runs once per *unique* block: the
+translator's host code cache skips it on hits, and the persistent code
+cache (:mod:`repro.exec.codecache`) skips blocks an earlier process
+vetted.  It is on by default; ``REPRO_SANITIZE=0`` disables it (escape
+hatch for perf experiments).  Accept/reject
 counters are kept module-locally (:func:`stats`) and mirrored into the
 :mod:`repro.obs` metrics registry as ``sanitizer.checked`` /
 ``sanitizer.rejected``.
@@ -41,7 +45,8 @@ from __future__ import annotations
 import ast
 import os
 import re
-from typing import Collection, FrozenSet, List, Set
+from typing import (Callable, Collection, Dict, FrozenSet, List,
+                    Optional, Set, Tuple, Union)
 
 __all__ = ["SanitizerError", "sanitize_block_source",
            "sanitizer_enabled", "stats", "reset_stats",
@@ -107,147 +112,253 @@ def sanitizer_enabled() -> bool:
         not in ("0", "false", "no", "off")
 
 
-def _collect_locals(function: ast.FunctionDef) -> Set[str]:
-    names: Set[str] = {arg.arg for arg in function.args.args}
-    for node in ast.walk(function):
-        if isinstance(node, ast.Name) and isinstance(
-                node.ctx, (ast.Store, ast.Del)):
-            names.add(node.id)
-        elif isinstance(node, ast.ExceptHandler) and node.name:
-            names.add(node.name)
-        elif isinstance(node, ast.For) and isinstance(node.target,
-                                                      ast.Name):
-            names.add(node.target.id)
-    return names
+# ----------------------------------------------------------------------
+# the one-pass checker
+#
+# One explicit-stack walk over the ``_block`` body, pre-order in field
+# order (the order ``ast.NodeVisitor`` visits).  Each node type's check
+# is looked up in ``_HANDLERS``; a handler appends findings and returns
+# whether the walk descends into the node.  Block locals are collected
+# during the same walk, so a check that needs the *full* set of locals
+# (a local may be read before the line that assigns it) is tried
+# against the locals seen so far and, if that fails, appended as a
+# deferred ``(check, node)`` pair and tried again once the walk is
+# done.  Findings keep walk order, so the reasons read top to bottom.
+
+_Findings = List[Union[str, Tuple[Callable, ast.AST]]]
 
 
-class _Checker(ast.NodeVisitor):
-    def __init__(self, env: FrozenSet[str],
-                 local_names: Set[str]) -> None:
-        self.env = env
-        self.locals = local_names
-        self.reasons: List[str] = []
+def _reason(node: ast.AST, why: str) -> str:
+    return f"line {getattr(node, 'lineno', '?')}: {why}"
 
-    def _reject(self, node: ast.AST, why: str) -> None:
-        line = getattr(node, "lineno", "?")
-        self.reasons.append(f"line {line}: {why}")
 
-    # -- blanket bans ---------------------------------------------------
+def _known(name: str, env: FrozenSet[str], local_names: Set[str]) -> bool:
+    return (name in local_names or name in env
+            or name in ALLOWED_BUILTINS)
 
-    def generic_visit(self, node: ast.AST) -> None:
-        if isinstance(node, FORBIDDEN_NODES):
-            self._reject(node,
-                         f"{type(node).__name__} is not allowed in "
-                         "generated block code")
-        super().generic_visit(node)
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        # only the top-level _block; the walker enters it explicitly
-        self._reject(node, "nested function definition")
+# -- checks that need every block local: (node, env, locals) -> reason --
 
-    # -- name resolution ------------------------------------------------
+def _check_read(node: ast.Name, env: FrozenSet[str],
+                local_names: Set[str]) -> Optional[str]:
+    if _known(node.id, env, local_names):
+        return None
+    return _reason(node, f"read of unknown name {node.id!r}")
 
-    def visit_Name(self, node: ast.Name) -> None:
-        if isinstance(node.ctx, ast.Load):
-            name = node.id
-            if (name not in self.locals and name not in self.env
-                    and name not in ALLOWED_BUILTINS):
-                self._reject(node, f"read of unknown name {name!r}")
 
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr.startswith("__"):
-            self._reject(node, f"dunder attribute {node.attr!r}")
-        if isinstance(node.ctx, (ast.Store, ast.Del)):
-            base = node.value
-            if not (isinstance(base, ast.Name)
-                    and (base.id == "state" or base.id in self.env)):
-                target = ast.unparse(node)
-                self._reject(node,
-                             f"attribute write to {target!r} outside "
-                             "machine/timing state roots")
-        self.generic_visit(node)
+def _check_call(node: ast.Call, env: FrozenSet[str],
+                local_names: Set[str]) -> Optional[str]:
+    name = node.func.id
+    if not _known(name, env, local_names):
+        return _reason(node, f"call to unknown name {name}()")
+    # The megablock tier's chained-dispatch call form: a direct-threaded
+    # exit may tail-dispatch into another compiled block function, but
+    # only with the canonical block signature ``_chainN(state, <budget
+    # expr>)`` — anything else is not a block dispatch.
+    if CHAINED_DISPATCH.match(name) and not (
+            len(node.args) == 2 and not node.keywords
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id == "state"):
+        return _reason(node, f"chained dispatch {name}() must be called "
+                       "as (state, <budget>)")
+    return None
 
-    def visit_Subscript(self, node: ast.Subscript) -> None:
-        if isinstance(node.ctx, (ast.Store, ast.Del)):
-            base = node.value
-            if not (isinstance(base, ast.Name)
-                    and (base.id in self.locals
-                         or base.id in self.env)):
-                target = ast.unparse(node)
-                self._reject(node,
-                             f"subscript write to {target!r} outside "
-                             "block locals / environment arrays")
-        self.generic_visit(node)
 
-    # -- calls ----------------------------------------------------------
+def _check_method_call(node: ast.Call, env: FrozenSet[str],
+                       local_names: Set[str]) -> Optional[str]:
+    func = node.func
+    base = func.value
+    if (isinstance(base, ast.Name) and base.id in local_names
+            and func.attr in LIST_MUTATORS):
+        return None
+    return _reason(node, f"method call {ast.unparse(func)}() is not a "
+                   "list mutator on a block local")
 
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Name):
-            name = func.id
-            if (name not in self.env and name not in self.locals
-                    and name not in ALLOWED_BUILTINS):
-                self._reject(node, f"call to unknown name {name}()")
-            elif CHAINED_DISPATCH.match(name):
-                # The megablock tier's chained-dispatch call form: a
-                # direct-threaded exit may tail-dispatch into another
-                # compiled block function, but only with the canonical
-                # block signature ``_chainN(state, <budget expr>)`` —
-                # anything else is not a block dispatch.
-                ok = (len(node.args) == 2 and not node.keywords
-                      and isinstance(node.args[0], ast.Name)
-                      and node.args[0].id == "state")
-                if not ok:
-                    self._reject(node,
-                                 f"chained dispatch {name}() must be "
-                                 "called as (state, <budget>)")
-        elif isinstance(func, ast.Attribute):
-            base = func.value
-            ok = (isinstance(base, ast.Name)
-                  and base.id in self.locals
-                  and func.attr in LIST_MUTATORS)
-            if not ok:
-                self._reject(node,
-                             f"method call {ast.unparse(func)}() is "
-                             "not a list mutator on a block local")
+
+def _check_subscript_write(node: ast.Subscript, env: FrozenSet[str],
+                           local_names: Set[str]) -> Optional[str]:
+    base = node.value
+    if isinstance(base, ast.Name) and (base.id in local_names
+                                       or base.id in env):
+        return None
+    return _reason(node, f"subscript write to {ast.unparse(node)!r} "
+                   "outside block locals / environment arrays")
+
+
+def _check_reraise(node: ast.Raise, env: FrozenSet[str],
+                   local_names: Set[str]) -> Optional[str]:
+    if node.exc.id in local_names:
+        return None
+    return _reason(node, "raise of a non-environment exception")
+
+
+def _now_or_later(check: Callable, node: ast.AST, env: FrozenSet[str],
+                  local_names: Set[str], findings: _Findings) -> None:
+    if check(node, env, local_names) is not None:
+        findings.append((check, node))
+
+
+# -- handlers: (node, env, locals, findings) -> descend? ----------------
+
+def _on_name(node: ast.Name, env: FrozenSet[str], local_names: Set[str],
+             findings: _Findings) -> bool:
+    if type(node.ctx) is ast.Load:
+        # the hottest check, so _check_read's test is inlined here
+        if not _known(node.id, env, local_names):
+            findings.append((_check_read, node))
+    else:
+        local_names.add(node.id)
+    return False
+
+
+def _on_attribute(node: ast.Attribute, env: FrozenSet[str],
+                  local_names: Set[str], findings: _Findings) -> bool:
+    if node.attr.startswith("__"):
+        findings.append(_reason(node, f"dunder attribute {node.attr!r}"))
+    if type(node.ctx) is not ast.Load:
+        base = node.value
+        if not (isinstance(base, ast.Name)
+                and (base.id == "state" or base.id in env)):
+            findings.append(_reason(
+                node, f"attribute write to {ast.unparse(node)!r} "
+                "outside machine/timing state roots"))
+    return True
+
+
+def _on_subscript(node: ast.Subscript, env: FrozenSet[str],
+                  local_names: Set[str], findings: _Findings) -> bool:
+    if type(node.ctx) is not ast.Load:
+        _now_or_later(_check_subscript_write, node, env, local_names,
+                      findings)
+    return True
+
+
+def _on_call(node: ast.Call, env: FrozenSet[str], local_names: Set[str],
+             findings: _Findings) -> bool:
+    func = node.func
+    if isinstance(func, ast.Name):
+        _now_or_later(_check_call, node, env, local_names, findings)
+    elif isinstance(func, ast.Attribute):
+        _now_or_later(_check_method_call, node, env, local_names,
+                      findings)
+    else:
+        findings.append(_reason(node, "call through "
+                                f"{type(func).__name__} expression"))
+    return True
+
+
+def _on_raise(node: ast.Raise, env: FrozenSet[str], local_names: Set[str],
+              findings: _Findings) -> bool:
+    exc = node.exc
+    if isinstance(exc, ast.Name):                # re-raise a held fault
+        _now_or_later(_check_reraise, node, env, local_names, findings)
+    elif not (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
+              and exc.func.id in env):           # guest trap types
+        findings.append(_reason(node,
+                                "raise of a non-environment exception"))
+    return True
+
+
+def _on_except_handler(node: ast.ExceptHandler, env: FrozenSet[str],
+                       local_names: Set[str], findings: _Findings) -> bool:
+    if node.name:
+        local_names.add(node.name)
+    kinds: list = []
+    if isinstance(node.type, ast.Name):
+        kinds = [node.type]
+    elif isinstance(node.type, ast.Tuple):
+        kinds = list(node.type.elts)
+    for kind in kinds:
+        if not (isinstance(kind, ast.Name) and kind.id in env):
+            findings.append(_reason(node, "except clause over a "
+                                    "non-environment exception type"))
+    return True
+
+
+def _on_nested_def(node: ast.FunctionDef, env: FrozenSet[str],
+                   local_names: Set[str], findings: _Findings) -> bool:
+    findings.append(_reason(node, "nested function definition"))
+    return False  # its body is not block code; nothing below is walked
+
+
+def _on_forbidden(node: ast.AST, env: FrozenSet[str],
+                  local_names: Set[str], findings: _Findings) -> bool:
+    findings.append(_reason(node, f"{type(node).__name__} is not allowed "
+                            "in generated block code"))
+    return True
+
+
+_HANDLERS: Dict[type, Callable[..., bool]] = {
+    ast.Name: _on_name,
+    ast.Attribute: _on_attribute,
+    ast.Subscript: _on_subscript,
+    ast.Call: _on_call,
+    ast.Raise: _on_raise,
+    ast.ExceptHandler: _on_except_handler,
+    ast.FunctionDef: _on_nested_def,
+    **{kind: _on_forbidden for kind in FORBIDDEN_NODES},
+}
+
+#: fields never holding a node the checker looks at: expression
+#: contexts and operator singletons
+_SKIPPED_FIELDS = frozenset({"ctx", "op", "ops"})
+
+#: per node type, its child fields in reverse order (so popping the
+#: walk stack visits them in field order); the commonest types are
+#: pre-seeded without their plain-string and constant fields
+_CHILD_FIELDS: Dict[type, Tuple[str, ...]] = {
+    ast.Name: (), ast.Constant: (),
+    ast.Attribute: ("value",), ast.keyword: ("value",),
+}
+
+
+def _child_fields(kind: type) -> Tuple[str, ...]:
+    fields = tuple(reversed([name for name in getattr(kind, "_fields", ())
+                             if name not in _SKIPPED_FIELDS]))
+    _CHILD_FIELDS[kind] = fields
+    return fields
+
+
+def _check_body(function: ast.FunctionDef,
+                env: FrozenSet[str]) -> List[str]:
+    """Reasons ``function``'s body violates the whitelist (one walk)."""
+    local_names: Set[str] = {arg.arg for arg in function.args.args}
+    findings: _Findings = []
+    handlers = _HANDLERS
+    child_fields = _CHILD_FIELDS
+    stack: list = list(reversed(function.body))
+    pop, push, extend = stack.pop, stack.append, stack.extend
+    while stack:
+        node = pop()
+        kind = type(node)
+        handler = handlers.get(kind)
+        if handler is not None and not handler(node, env, local_names,
+                                               findings):
+            continue
+        fields = child_fields.get(kind)
+        if fields is None:
+            fields = _child_fields(kind)
+        for name in fields:
+            value = getattr(node, name)
+            if type(value) is list:
+                extend(reversed(value))
+            elif isinstance(value, ast.AST):
+                push(value)
+    reasons: List[str] = []
+    for item in findings:
+        if isinstance(item, str):
+            reasons.append(item)
         else:
-            self._reject(node,
-                         f"call through {type(func).__name__} "
-                         "expression")
-        self.generic_visit(node)
-
-    # -- control flow ---------------------------------------------------
-
-    def visit_Raise(self, node: ast.Raise) -> None:
-        exc = node.exc
-        ok = False
-        if isinstance(exc, ast.Name):
-            ok = exc.id in self.locals           # re-raise a held fault
-        elif isinstance(exc, ast.Call) and isinstance(exc.func,
-                                                      ast.Name):
-            ok = exc.func.id in self.env         # guest trap types
-        if not ok:
-            self._reject(node, "raise of a non-environment exception")
-        self.generic_visit(node)
-
-    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-        kinds = []
-        if isinstance(node.type, ast.Name):
-            kinds = [node.type]
-        elif isinstance(node.type, ast.Tuple):
-            kinds = list(node.type.elts)
-        for kind in kinds:
-            if not (isinstance(kind, ast.Name)
-                    and kind.id in self.env):
-                self._reject(node,
-                             "except clause over a non-environment "
-                             "exception type")
-        self.generic_visit(node)
+            check, node = item
+            reason = check(node, env, local_names)
+            if reason:
+                reasons.append(reason)
+    return reasons
 
 
 def sanitize_block_source(source: str,
                           env_names: Collection[str],
-                          flavor: str = "fast") -> None:
+                          flavor: str = "fast") -> ast.Module:
     """Verify one generated block source; raise :class:`SanitizerError`.
 
     ``env_names`` is the set of globals the translator will ``exec``
@@ -255,10 +366,14 @@ def sanitize_block_source(source: str,
     trap types, and — for fused flavours — the codegen environment).
     Anything outside that set, the block's own locals, and a tiny
     builtin whitelist is a violation.
+
+    Returns the parsed module, so the caller can ``compile()`` the
+    tree it vetted instead of parsing the source a second time.
     """
     global _CHECKED, _REJECTED
     _CHECKED += 1
     reasons: List[str] = []
+    tree: Optional[ast.Module]
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
@@ -279,16 +394,13 @@ def sanitize_block_source(source: str,
                     or function.decorator_list):
                 reasons.append("_block signature must be exactly "
                                "(state, budget) with no decorators")
-            checker = _Checker(frozenset(env_names),
-                               _collect_locals(function))
-            for statement in function.body:
-                checker.visit(statement)
-            reasons.extend(checker.reasons)
+            reasons.extend(_check_body(function, frozenset(env_names)))
     if reasons:
         _REJECTED += 1
         mirror_check_metrics("sanitizer", rejected=True)
         raise SanitizerError(reasons, source)
     mirror_check_metrics("sanitizer", rejected=False)
+    return tree
 
 
 def mirror_check_metrics(prefix: str, rejected: bool) -> None:

@@ -38,17 +38,16 @@ producing run stopped precisely where the consumer was about to stop.
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
-import os
 import re
-import uuid
 import zlib
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
 from repro.kernel.checkpoint import Checkpoint, take as take_checkpoint
 
-from .store import FileLock, default_cache_root
+from .store import FileLock, atomic_write_bytes, default_cache_root
 
 __all__ = [
     "CKPT_DIR_NAME", "CheckpointStore", "CheckpointLadder",
@@ -66,7 +65,6 @@ _ARTIFACT_RE = re.compile(r"^(?!ckpt-)[A-Za-z0-9._-]+$")
 
 def rung_key(targets: Iterable[int]) -> str:
     """The rung key for a pristine fast-forward target history."""
-    import hashlib
     text = ",".join(str(target) for target in targets)
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
@@ -77,7 +75,6 @@ def program_fingerprint(workload: object) -> str:
     Hashes the workload name, entry point and every segment's bytes —
     two workloads share a ladder only if their boots are bit-identical.
     """
-    import hashlib
     program = workload.program
     digest = hashlib.sha256()
     digest.update(workload.name.encode("utf-8"))
@@ -218,13 +215,6 @@ class CheckpointStore:
     def _lock_path(self, program_fp: str, config_fp: str) -> Path:
         return self.ladder_dir(program_fp, config_fp) / ".lock"
 
-    @staticmethod
-    def _atomic_write(path: Path, payload: bytes) -> None:
-        tmp = path.with_name(
-            f"{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
-        tmp.write_bytes(payload)
-        os.replace(tmp, path)
-
     # -- blobs ----------------------------------------------------------
 
     def put_blob(self, digest: str, data: bytes) -> bool:
@@ -234,7 +224,7 @@ class CheckpointStore:
         if path.exists():
             return False
         path.parent.mkdir(parents=True, exist_ok=True)
-        self._atomic_write(path, zlib.compress(bytes(data), 6))
+        atomic_write_bytes(path, zlib.compress(bytes(data), 6))
         return True
 
     def get_blob(self, digest: str) -> Optional[bytes]:
@@ -242,10 +232,11 @@ class CheckpointStore:
         if blob is not None:
             return blob
         try:
-            compressed = self.blob_path(digest).read_bytes()
-        except OSError:
-            return None
-        blob = zlib.decompress(compressed)
+            blob = zlib.decompress(self.blob_path(digest).read_bytes())
+        except (OSError, zlib.error):
+            return None  # absent or torn: a miss, never a raise
+        if hashlib.sha256(blob).hexdigest() != digest:
+            return None  # decompresses, but not to the frame it names
         self._blob_cache[digest] = blob
         return blob
 
@@ -269,7 +260,7 @@ class CheckpointStore:
         path = ladder / f"ckpt-{key}.json"
         with FileLock(self._lock_path(program_fp, config_fp)):
             if not path.exists():
-                self._atomic_write(path, manifest)
+                atomic_write_bytes(path, manifest)
         return path
 
     def load_checkpoint(self, program_fp: str, config_fp: str,
@@ -314,7 +305,7 @@ class CheckpointStore:
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
         with FileLock(self._lock_path(program_fp, config_fp)):
             if not path.exists():
-                self._atomic_write(path, blob)
+                atomic_write_bytes(path, blob)
         return path
 
     def load_artifact(self, program_fp: str, config_fp: str,

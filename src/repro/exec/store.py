@@ -19,12 +19,13 @@ keyed by ``benchmark|policy|size|fingerprint``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
 import uuid
 from pathlib import Path
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Union
 
 from repro.sampling import PolicyResult
 
@@ -35,12 +36,17 @@ try:  # POSIX advisory locks; fall back to O_EXCL spinning elsewhere
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-__all__ = ["FileLock", "ResultStore", "default_cache_root",
-           "default_store"]
+__all__ = ["FileLock", "ResultStore", "atomic_write_bytes",
+           "default_cache_root", "default_store"]
 
 STORE_DIR_NAME = "results-v2"
 V1_FILE_NAME = "results-v1.json"
 MIGRATION_MARKER = ".migrated-from-v1"
+
+
+#: the cache directory when ``REPRO_CACHE_DIR`` is unset
+_REPO_CACHE_ROOT = Path(__file__).resolve().parents[3] / "benchmarks" \
+    / ".cache"
 
 
 def default_cache_root() -> Path:
@@ -49,7 +55,24 @@ def default_cache_root() -> Path:
     env = os.environ.get("REPRO_CACHE_DIR")
     if env:
         return Path(env)
-    return Path(__file__).resolve().parents[3] / "benchmarks" / ".cache"
+    return _REPO_CACHE_ROOT
+
+
+def atomic_write_bytes(path: Union[str, Path], payload: bytes) -> None:
+    """Land ``payload`` at ``path`` all at once: write a uniquely named
+    temp file in the same directory, then ``os.replace`` it over the
+    target, so a reader sees the old file or the new one, never a torn
+    mix.  The shared writer of every store under the cache root."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def default_store() -> "ResultStore":
@@ -153,12 +176,6 @@ class ResultStore:
             return {}
         return data if isinstance(data, dict) else {}
 
-    def _atomic_write(self, path: Path, data: Dict[str, dict]) -> None:
-        tmp = path.with_name(
-            f"{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
-        tmp.write_text(json.dumps(data))
-        os.replace(tmp, path)
-
     # -- API ------------------------------------------------------------
 
     def get(self, key: str) -> Optional[PolicyResult]:
@@ -186,7 +203,7 @@ class ResultStore:
         with FileLock(self._lock_path(benchmark)):
             data = self._read_disk(path)  # merge with concurrent writers
             data[key] = record
-            self._atomic_write(path, data)
+            atomic_write_bytes(path, json.dumps(data).encode())
         self._shards[benchmark] = data
 
     def keys(self) -> Iterator[str]:
@@ -246,7 +263,7 @@ class ResultStore:
             with FileLock(self._lock_path(benchmark)):
                 data = self._read_disk(path)
                 data.update(records)
-                self._atomic_write(path, data)
+                atomic_write_bytes(path, json.dumps(data).encode())
             self._shards[benchmark] = data
             imported += len(records)
         # repro: store-ok idempotent marker, not a record shard

@@ -307,37 +307,26 @@ class ChainLinker:
                    "GEN": self.generation}
             for index, block in enumerate(fragments):
                 env[f"_chain{index}"] = block.fn
-            if _translator._CODE_CACHE.get(key) is None:
-                source_fn = lambda: emit_chain_source(  # noqa: E731
-                    chain, loop_back, flavor)
+            source_fn = lambda: emit_chain_source(  # noqa: E731
+                chain, loop_back, flavor)
+        verifier = _translator._verifier()
+
+        def verify(source: str) -> None:
+            # symbolic deep-check seam (see translator._verify_block)
+            if not verifier.verifier_active():
+                return
+            if inline_frags is not None:
+                verifier.hook_inline_chain(source, inline_frags,
+                                           loop_back, flavor)
+            else:
+                verifier.hook_threaded_chain(source, chain, loop_back,
+                                             flavor)
+
         profiler = _translator._profiler()
         profiling = profiler.profiling_enabled()
-        cached = _translator._CODE_CACHE.get(key)
-        if cached is None:
-            started = profiler.now() if profiling else 0.0
-            source = source_fn()
-            _translator._sanitize(source, set(env), "mega")
-            verifier = _translator._verifier()
-            if verifier.verifier_active():
-                # symbolic deep-check seam (see translator._verify_block)
-                if inline_frags is not None:
-                    verifier.hook_inline_chain(source, inline_frags,
-                                               loop_back, flavor)
-                else:
-                    verifier.hook_threaded_chain(source, chain,
-                                                 loop_back, flavor)
-            code = compile(source, f"<megablock 0x{head:x} {flavor}>",
-                           "exec")
-            if profiling:
-                profiler.record_translation(
-                    head, "megablock", profiler.now() - started,
-                    source_lines=source.count("\n"))
-            if len(_translator._CODE_CACHE) >= \
-                    _translator._CODE_CACHE_CAPACITY:
-                _translator._CODE_CACHE.clear()
-            _translator._CODE_CACHE[key] = (code, source)
-        else:
-            code, source = cached
+        code, _source = _translator.compile_block(
+            key, source_fn, env, f"<megablock 0x{head:x} {flavor}>",
+            "mega", verify, head, "megablock")
         namespace = env
         exec(code, namespace)  # noqa: S102 - the megablock tier's JIT
         fn = namespace["_block"]

@@ -29,7 +29,8 @@ retired instructions precisely.
 
 from __future__ import annotations
 
-from typing import List
+from types import CodeType
+from typing import Callable, List, Mapping, Tuple
 
 from repro.isa import DecodeError, Instr, OP_INFO, Op, decode
 from repro.mem.faults import (BreakpointTrap, GuestFault, IllegalInstruction,
@@ -189,7 +190,9 @@ def event_fields(instr: Instr) -> tuple:
 #: same deterministic workloads would otherwise re-generate and
 #: re-compile the exact same blocks in every Machine.  Values are
 #: ``(code, source)`` so ``Translator.last_source`` stays accurate on
-#: hits.
+#: hits.  Behind it sits the persistent code cache
+#: (:mod:`repro.exec.codecache`, ``codecache-v1/``), which carries
+#: vetted code objects across processes; see :func:`compile_block`.
 _CODE_CACHE: dict = {}
 _CODE_CACHE_CAPACITY = 8192
 
@@ -197,6 +200,9 @@ _CODE_CACHE_CAPACITY = 8192
 #: to first translation so importing repro.vm never drags the analysis
 #: package — and its result-analysis dependencies — along)
 _SANITIZER = None
+
+#: lazily bound repro.exec.codecache module, same deferral rationale
+_CODECACHE = None
 
 #: lazily bound repro.obs.profiler module, same deferral rationale.
 #: When profiling is disabled (the default) the only cost is one flag
@@ -213,21 +219,32 @@ def _profiler():
     return _PROFILER
 
 
-def _sanitize(source: str, env_names, flavor: str) -> None:
+def _codecache():
+    global _CODECACHE
+    if _CODECACHE is None:
+        from repro.exec import codecache as _codecache_module
+        _CODECACHE = _codecache_module
+    return _CODECACHE
+
+
+def _sanitize(source: str, env_names, flavor: str):
     """Run the generated-superblock sanitizer unless disabled.
 
     Every source string this module compiles goes through here first
     (rule REPRO004's runtime counterpart): the sanitizer walks the AST
     and rejects imports, I/O, and writes outside machine/timing state.
-    ``REPRO_SANITIZE=0`` disables it; results are identical either way
-    because the sanitizer only vets source, it never rewrites it.
+    Returns the vetted tree (so ``compile()`` need not parse the source
+    again), or None when ``REPRO_SANITIZE=0`` disables the check;
+    results are identical either way because the sanitizer only vets
+    source, it never rewrites it.
     """
     global _SANITIZER
     if _SANITIZER is None:
         from repro.analysis import sanitizer as _sanitizer_module
         _SANITIZER = _sanitizer_module
     if _SANITIZER.sanitizer_enabled():
-        _SANITIZER.sanitize_block_source(source, env_names, flavor)
+        return _SANITIZER.sanitize_block_source(source, env_names, flavor)
+    return None
 
 
 #: lazily bound repro.analysis.symexec module (the symbolic verifier);
@@ -255,6 +272,51 @@ def _verify_block(source: str, pc: int, instrs, flavor: str) -> None:
     verifier = _verifier()
     if verifier.verifier_active():
         verifier.hook_block(source, pc, instrs, flavor)
+
+
+def compile_block(key: tuple, generate: Callable[[], str],
+                  env: Mapping[str, object], filename: str, flavor: str,
+                  verify: Callable[[str], None], pc: int,
+                  tier: str) -> Tuple[CodeType, str]:
+    """``(code, source)`` of one generated block: the one compile path
+    of the translator and the megablock linker.
+
+    An in-process hit (``_CODE_CACHE[key]``) costs a dict lookup.  On a
+    miss the source is generated and looked up in the persistent code
+    cache by content; a persistent hit skips only the sanitizer and
+    ``compile()``.  Otherwise the source is sanitized against ``env``'s
+    names and compiled from the vetted tree, and the code is persisted
+    only if the sanitizer actually ran.  ``verify`` (the opt-in
+    symbolic deep check) sees every generated source either way.
+    """
+    cached = _CODE_CACHE.get(key)
+    if cached is not None:
+        return cached
+    profiler = _profiler()
+    profiling = profiler.profiling_enabled()
+    started = profiler.now() if profiling else 0.0
+    source = generate()
+    persistent = _codecache()
+    entry = persistent.entry_key(filename, env, source)
+    code = persistent.load(entry)
+    tree = None if code is not None else _sanitize(source, env, flavor)
+    verify(source)
+    if code is None:
+        vetted = tree is not None
+        code = compile(tree if vetted else source, filename, "exec")
+        # drop the tree before marshalling: constants it still shares
+        # with the code would be written as back-references, and the
+        # entry would no longer match compile(source) byte for byte
+        del tree
+        if vetted:
+            persistent.store(entry, code)
+    if profiling:
+        profiler.record_translation(pc, tier, profiler.now() - started,
+                                    source_lines=source.count("\n"))
+    if len(_CODE_CACHE) >= _CODE_CACHE_CAPACITY:
+        _CODE_CACHE.clear()
+    _CODE_CACHE[key] = (code, source)
+    return code, source
 
 
 def _block_key(pc: int, instrs, flavor: str, codegen) -> tuple:
@@ -301,37 +363,25 @@ class Translator:
         as the oracle.
         """
         instrs = self._decode_block(pc)
-        key = _block_key(pc, instrs, flavor, codegen)
         profiler = _profiler()
         profiling = profiler.profiling_enabled()
-        tier = flavor if codegen is None else f"fused-{codegen.flavor}"
-        cached = _CODE_CACHE.get(key)
-        if cached is None:
-            started = profiler.now() if profiling else 0.0
-            if codegen is not None:
-                source = self._generate_fused(pc, instrs, codegen)
-            else:
-                source = self._generate(pc, instrs, flavor)
-            env_names = set(self._env_base)
-            if codegen is not None:
-                env_names.update(codegen.env())
-            _sanitize(source, env_names, flavor)
-            _verify_block(source, pc, instrs,
-                          flavor if codegen is None else codegen.flavor)
-            code = compile(source, f"<block 0x{pc:x} {flavor}>", "exec")
-            if profiling:
-                profiler.record_translation(
-                    pc, tier, profiler.now() - started,
-                    source_lines=source.count("\n"))
-            if len(_CODE_CACHE) >= _CODE_CACHE_CAPACITY:
-                _CODE_CACHE.clear()
-            _CODE_CACHE[key] = (code, source)
-        else:
-            code, source = cached
-        self.last_source = source
         namespace = dict(self._env_base)
-        if codegen is not None:
+        if codegen is None:
+            tier = verify_flavor = flavor
+            generate = lambda: self._generate(  # noqa: E731
+                pc, instrs, flavor)
+        else:
+            tier, verify_flavor = f"fused-{codegen.flavor}", codegen.flavor
             namespace.update(codegen.env())
+            generate = lambda: self._generate_fused(  # noqa: E731
+                pc, instrs, codegen)
+        code, source = compile_block(
+            _block_key(pc, instrs, flavor, codegen), generate, namespace,
+            f"<block 0x{pc:x} {flavor}>", flavor,
+            lambda source: _verify_block(source, pc, instrs,
+                                         verify_flavor),
+            pc, tier)
+        self.last_source = source
         exec(code, namespace)  # noqa: S102 - this *is* the JIT
         fn = namespace["_block"]
         if profiling:

@@ -8,3 +8,8 @@ def run_snippet(snippet):
 
 def evaluate(expression):
     return eval(expression)  # line 10: eval()
+
+
+def thaw(payload):
+    import marshal
+    return marshal.loads(payload)  # line 15: marshal.loads()

@@ -25,11 +25,13 @@ GOLDEN = {
     ("REPRO002", "exec/bad_store.py", 8),    # open(..., "w")
     ("REPRO002", "exec/bad_store.py", 9),    # json.dump
     ("REPRO002", "exec/bad_store.py", 13),   # bare write_text
+    ("REPRO002", "harness/bad_codecache.py", 6),  # codecache-v1 marker
     ("REPRO003", "sampling/bad_volatile.py", 7),   # canonical dict key
     ("REPRO003", "sampling/bad_volatile.py", 12),  # bare subscript store
     ("REPRO004", "mem/bad_dynamic.py", 5),   # compile()
     ("REPRO004", "mem/bad_dynamic.py", 6),   # exec()
     ("REPRO004", "mem/bad_dynamic.py", 10),  # eval()
+    ("REPRO004", "mem/bad_dynamic.py", 15),  # marshal.loads()
 }
 
 
@@ -232,3 +234,26 @@ def test_telemetry_modules_are_covered_by_rules():
     telemetry_source = SourceFile.load(src_root / "obs/telemetry.py",
                                        "obs/telemetry.py")
     assert by_id["REPRO002"].applies_to(telemetry_source)
+
+
+def test_code_cache_is_the_one_sanctioned_unmarshaller():
+    """REPRO004 flags ``marshal.loads`` everywhere except the code
+    cache, which is sanctioned by name and really unmarshals code; its
+    directory name marks a module as store code for REPRO002."""
+    from repro.analysis.rules import (ALL_RULES, SANCTIONED_DYNAMIC_CODE,
+                                      StoreDisciplineRule)
+
+    by_id = {rule.id: rule for rule in ALL_RULES}
+    rel = "exec/codecache.py"
+    assert rel in SANCTIONED_DYNAMIC_CODE
+    shipped = SourceFile.load(default_root() / rel, rel)
+    assert not by_id["REPRO004"].applies_to(shipped)
+    # the sanction is load-bearing: under any other name the same
+    # source is a finding
+    moved = SourceFile(shipped.path, "exec/elsewhere.py", shipped.text)
+    assert by_id["REPRO004"].applies_to(moved)
+    assert [f.rule for f in by_id["REPRO004"].check(moved)] == ["REPRO004"]
+    assert "codecache-v1" in StoreDisciplineRule.STORE_MARKERS
+    outside = SourceFile(Path("x.py"), "harness/x.py",
+                         'DIR = "codecache-v1"\n')
+    assert by_id["REPRO002"].applies_to(outside)

@@ -145,6 +145,134 @@ def test_rejects_syntax_error():
 
 
 # ----------------------------------------------------------------------
+# one-pass design: locals are collected during the same walk, so checks
+# that depend on them must not trip on a use that precedes, in source
+# order, the assignment that makes the name a local
+
+
+def test_accepts_read_before_assignment_in_source_order():
+    check("""
+def _block(state, budget):
+    n = 0
+    while 1:
+        if n:
+            return acc
+        acc = n
+        n = n + 1
+""")
+
+
+def test_accepts_subscript_write_before_assignment_in_source_order():
+    check("""
+def _block(state, budget):
+    n = 0
+    while 1:
+        if n:
+            ways[0] = n
+            return 1
+        ways = [0, 0]
+        n = 1
+""")
+
+
+def test_accepts_list_mutator_before_assignment_in_source_order():
+    check("""
+def _block(state, budget):
+    n = 0
+    while 1:
+        if n:
+            ways.append(n)
+            return len(ways)
+        ways = []
+        n = 1
+""")
+
+
+def test_accepts_reraise_of_handler_name_bound_later_in_source():
+    check("""
+def _block(state, budget):
+    n = 0
+    while 1:
+        if n:
+            raise held
+        try:
+            return ld8(state, 0)
+        except GuestFault as held:
+            n = 1
+""")
+
+
+def test_late_checks_still_reject_names_never_bound():
+    text = reasons_of("""
+def _block(state, budget):
+    ghost[0] = 1
+    spook.append(1)
+    raise phantom
+""")
+    assert "subscript write" in text
+    assert "list mutator" in text
+    assert "raise" in text
+    assert "unknown name 'ghost'" in text
+
+
+def test_rejects_nested_def_that_assigns_a_name():
+    assert "nested function" in reasons_of("""
+def _block(state, budget):
+    def inner():
+        hidden = 1
+        return hidden
+    return 0
+""")
+
+
+def test_reasons_keep_source_order():
+    reasons = reasons_of("""
+def _block(state, budget):
+    a = first
+    import os
+    c = third
+    return 0
+""").splitlines()
+    assert [line.split(":")[0] for line in reasons] == [
+        "line 3", "line 4", "line 5"]
+
+
+def test_returned_tree_compiles_to_identical_code(monkeypatch, tmp_path):
+    """Over a real tiny run, compiling the tree the sanitizer returns
+    gives code marshal-identical to compiling the source."""
+    import ast
+    import marshal
+
+    from repro.vm import translator as translator_module
+    from repro.workloads import load_benchmark
+
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(translator_module, "_CODE_CACHE", {})
+    vetted = []
+    real = sanitizer.sanitize_block_source
+
+    def recording(source, env_names, flavor="fast"):
+        vetted.append((source, real(source, env_names, flavor)))
+        # the translator compiles a tree of its own, so the recorded
+        # one shares its constants with no other code object
+        return ast.parse(source)
+
+    monkeypatch.setattr(sanitizer, "sanitize_block_source", recording)
+    load_benchmark("gzip", size="tiny").boot().run_to_completion()
+    assert len(vetted) > 10
+    while vetted:
+        source, tree = vetted.pop()
+        code = compile(tree, "<block>", "exec")
+        # a live tree shares constants with the code, which marshal
+        # would write as back-references; compare the way the
+        # translator persists code, after the tree is gone
+        del tree
+        assert marshal.dumps(code) == marshal.dumps(
+            compile(source, "<block>", "exec"))
+
+
+# ----------------------------------------------------------------------
 # counters + kill switch
 
 
@@ -171,7 +299,7 @@ def test_enabled_env_switch(monkeypatch):
 # live coverage: every block a real run compiles must pass
 
 
-def test_every_superblock_of_a_real_run_passes(monkeypatch):
+def test_every_superblock_of_a_real_run_passes(monkeypatch, tmp_path):
     """Boot a guest workload, run it through the fused fast path, and
     require the sanitizer to have vetted every freshly generated
     superblock with zero rejections."""
@@ -179,6 +307,9 @@ def test_every_superblock_of_a_real_run_passes(monkeypatch):
     from repro.workloads import load_benchmark
 
     monkeypatch.setenv("REPRO_SANITIZE", "1")
+    # an empty code cache: a warm one would serve vetted code and the
+    # count below would not prove this run vetted anything
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(translator_module, "_CODE_CACHE", {})
     sanitizer.reset_stats()
     system = load_benchmark("gzip", size="tiny").boot()

@@ -1,8 +1,10 @@
 """Tests for the on-disk checkpoint store: round trips, dedup,
 torn-ladder recovery, artifacts, and concurrent-writer integrity."""
 
+import hashlib
 import json
 import multiprocessing
+import zlib
 
 import pytest
 
@@ -123,6 +125,54 @@ def test_torn_ladder_loads_as_missing(tmp_path):
     assert fresh.load_checkpoint("prog", "cfg", "aa") is None
     # unknown rungs are also just missing, never an error
     assert fresh.load_checkpoint("prog", "cfg", "ff") is None
+
+
+def _simpoint_ckpt_digest(root):
+    """Canonical-result digest of a checkpoint-accelerated SimPoint run
+    against the store at ``root``, plus the controller's store stats."""
+    from repro.sampling import (CheckpointedSimPointSampler,
+                                SimPointConfig, SimulationController)
+    from repro.workloads import SUITE_MACHINE_KWARGS
+
+    workload = build_workload()
+    controller = SimulationController(
+        workload, machine_kwargs=SUITE_MACHINE_KWARGS)
+    controller.attach_checkpoints(CheckpointLadder(
+        CheckpointStore(root), program_fingerprint(workload), "cfg"))
+    result = CheckpointedSimPointSampler(SimPointConfig(
+        interval_length=1000, max_clusters=10,
+        warmup_length=2000)).run(controller)
+    text = json.dumps(result.canonical_dict(), sort_keys=True,
+                      default=repr)
+    return (hashlib.sha256(text.encode()).hexdigest(),
+            dict(controller.checkpoint_stats))
+
+
+@pytest.mark.parametrize("damage", ["torn", "wrong-frame"])
+def test_corrupt_blob_is_a_miss_and_changes_no_result(tmp_path, damage):
+    root = tmp_path / "ckpt"
+    cold, cold_stats = _simpoint_ckpt_digest(root)
+    assert cold_stats["published"] > 0
+    store = CheckpointStore(root)
+    program_fp = program_fingerprint(build_workload())
+    rung = store.list_rungs(program_fp, "cfg")[0]
+    manifest = json.loads((store.ladder_dir(program_fp, "cfg")
+                           / f"ckpt-{rung}.json").read_text())
+    victim = sorted(set(manifest["frame_hashes"].values()))[0]
+    path = store.blob_path(victim)
+    compressed = path.read_bytes()
+    if damage == "torn":  # a crash mid-write: zlib cannot finish
+        path.write_bytes(compressed[:len(compressed) // 2])
+    else:  # a well-formed stream that is not the frame it names
+        frame = bytearray(zlib.decompress(compressed))
+        frame[0] ^= 0xFF
+        path.write_bytes(zlib.compress(bytes(frame)))
+
+    fresh = CheckpointStore(root)
+    assert fresh.get_blob(victim) is None
+    assert fresh.load_checkpoint(program_fp, "cfg", rung) is None
+    warm, _ = _simpoint_ckpt_digest(root)
+    assert warm == cold
 
 
 def test_corrupt_manifest_loads_as_missing(tmp_path):
