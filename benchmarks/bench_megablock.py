@@ -1,11 +1,11 @@
 """Megablock-tier benchmark: chained superblock dispatch vs fused.
 
 Produces the ``BENCH_megablock.json`` trajectory: guest
-instructions/sec of the megablock tier (hot fused superblocks chained
-into direct-threaded megablocks) against the same fast-path engine
-with the tier disabled (``REPRO_MEGABLOCKS=0``), in timed and
-functional-warming event mode on the loop-dominated suite, with
-per-benchmark and geomean speedups.
+instructions/sec of the megablock tier (chains of hot fused
+superblocks inlined into single megablock functions) against the
+same fast-path engine with the tier disabled (``REPRO_MEGABLOCKS=0``),
+in timed and functional-warming event mode on the loop-dominated
+suite, with per-benchmark and geomean speedups.
 
 This is a thin wrapper over ``repro.harness.megablock`` (also
 reachable as ``python -m repro bench --suite megablock``) so the

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import ast
 import os
-import re
 from typing import (Callable, Collection, Dict, FrozenSet, List,
                     Optional, Set, Tuple, Union)
 
@@ -59,12 +58,6 @@ ALLOWED_BUILTINS: FrozenSet[str] = frozenset(
 #: mutating list/deque methods allowed on block locals (LRU ways)
 LIST_MUTATORS: FrozenSet[str] = frozenset(
     {"insert", "remove", "pop", "append", "clear"})
-
-#: the megablock tier's chained-dispatch call form: environment names
-#: matching this pattern are compiled block functions a megablock's
-#: direct-threaded exits may tail-dispatch into — and they must be
-#: called with exactly the block signature ``(state, <budget expr>)``
-CHAINED_DISPATCH = re.compile(r"^_chain\d+$")
 
 #: statement/expression node types generated code never contains;
 #: their presence means the codegen (or an injected source) went rogue
@@ -149,19 +142,9 @@ def _check_read(node: ast.Name, env: FrozenSet[str],
 def _check_call(node: ast.Call, env: FrozenSet[str],
                 local_names: Set[str]) -> Optional[str]:
     name = node.func.id
-    if not _known(name, env, local_names):
-        return _reason(node, f"call to unknown name {name}()")
-    # The megablock tier's chained-dispatch call form: a direct-threaded
-    # exit may tail-dispatch into another compiled block function, but
-    # only with the canonical block signature ``_chainN(state, <budget
-    # expr>)`` — anything else is not a block dispatch.
-    if CHAINED_DISPATCH.match(name) and not (
-            len(node.args) == 2 and not node.keywords
-            and isinstance(node.args[0], ast.Name)
-            and node.args[0].id == "state"):
-        return _reason(node, f"chained dispatch {name}() must be called "
-                       "as (state, <budget>)")
-    return None
+    if _known(name, env, local_names):
+        return None
+    return _reason(node, f"call to unknown name {name}()")
 
 
 def _check_method_call(node: ast.Call, env: FrozenSet[str],

@@ -3,10 +3,10 @@
 Measures guest instructions/second of the two *fast-path* engine
 configurations —
 
-* **mega**: the megablock tier enabled (default) — hot fused
-  superblocks re-emitted as chained megablocks with direct-threaded
-  exits (``repro.vm.chain``), hot loops iterating inside one compiled
-  frame;
+* **mega**: the megablock tier enabled (default) — chains of hot
+  fused superblocks inlined into single megablock functions with
+  guarded exits (``repro.vm.chain``), hot loops iterating inside one
+  compiled frame;
 * **fused**: the same fused superblock engine with the megablock tier
   disabled (``machine.megablocks = False``, the ``REPRO_MEGABLOCKS=0``
   escape hatch) — every block returns to the dispatch loop

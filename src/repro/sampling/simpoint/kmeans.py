@@ -141,13 +141,18 @@ def choose_clustering(data: np.ndarray, max_k: int, seed: int = 0,
         if not candidate_ks:
             candidate_ks = [min(max_k, n)]
     results = [kmeans(data, k, seed=seed + k) for k in candidate_ks]
-    bics = np.array([result.bic for result in results])
+    # a candidate with k >= n scores -inf; normalizing against it would
+    # turn every score into NaN and silently select by argmax instead
+    finite = [result for result in results if np.isfinite(result.bic)]
+    if not finite:
+        return results[0]
+    bics = np.array([result.bic for result in finite])
     best = bics.max()
     worst = bics.min()
     if best == worst:
-        return results[0]
+        return finite[0]
     scores = (bics - worst) / (best - worst)
-    for result, score in zip(results, scores, strict=True):
+    for result, score in zip(finite, scores, strict=True):
         if score >= bic_threshold:
             return result
-    return results[int(bics.argmax())]
+    return finite[int(bics.argmax())]

@@ -940,76 +940,31 @@ class WarmingBlockCodegen:
 
 
 # ----------------------------------------------------------------------
-# megablock exit stubs (the direct-threaded tier above fused blocks)
-
-#: translation flavours a megablock exit stub can thread into:
-#: ``event`` (plain per-instruction sink blocks), ``timed`` (fused
-#: detailed timing) and ``warm`` (fused functional warming).  The stub
-#: text is flavour-independent today — every flavour's block functions
-#: share the ``fn(state, budget) -> executed`` contract and leave
-#: ``state.pc`` at the successor — but the flavour stays an explicit
-#: parameter (and part of the megablock's host-cache key) so a flavour
-#: that ever needs extra glue gets it without changing callers.
-CHAIN_STUB_FLAVORS = ("event", "timed", "warm")
+# megablock exit stubs (the inline-fused tier above fused blocks)
 
 
-def chain_exit_stub(flavor: str, next_pc: int,
-                    budget_expr: str = "n",
-                    on_break: Sequence[str] = (),
-                    budget_test: str = "") -> List[str]:
+def chain_exit_stub(next_pc: int, on_break: Sequence[str],
+                    budget_test: str) -> List[str]:
     """Guard lines between two chained fragments of a megablock.
 
     Emitted after a constituent block has retired: fall through into
-    the next compiled fragment only when the observed-successor
-    prediction holds (``state.pc``), the instruction budget still has
-    headroom (the dispatch loop's bounded-overshoot rule,
-    ``budget_expr`` being the instructions the chain will have retired
-    if it continues), no IRQ is pending, the guest has not halted, and
-    no SMC/page invalidation bumped the chain generation since this
-    dispatch entered.  Any miss breaks back to the dispatch loop, which
-    re-dispatches from the per-block caches — the fallback path the
-    chain is bit-identical to.  ``on_break`` lines run only when the
-    guard misses (bookkeeping the fall-through path must not pay;
+    the next fragment only when the observed-successor prediction
+    holds (``state.pc``), the instruction budget still has headroom
+    (the dispatch loop's bounded-overshoot rule; ``budget_test`` is
+    true once the chain would overshoot by continuing), no IRQ is
+    pending, the guest has not halted, and no SMC/page invalidation
+    bumped the chain generation since this dispatch entered.  Any miss
+    breaks back to the dispatch loop, which re-dispatches from the
+    per-block caches — the fallback path the chain is bit-identical
+    to.  ``on_break`` lines run only when the guard misses
+    (bookkeeping the fall-through path must not pay;
     ``block_progress`` needs no reset here because every faulting op
     writes it before raising).
     """
-    if flavor not in CHAIN_STUB_FLAVORS:
-        raise ValueError(f"unknown chain stub flavour {flavor!r}")
-    test = budget_test or f"{budget_expr} >= budget"
     lines = [
-        f"if state.pc != {next_pc} or {test} "
+        f"if state.pc != {next_pc} or {budget_test} "
         "or state.halted or _irq or _gen[0] != _g0:",
     ]
     lines.extend("    " + text for text in on_break)
     lines.append("    break")
     return lines
-
-
-def chain_call_stub(index: int, pc: int, length: int) -> List[str]:
-    """Call lines for constituent ``index`` of a megablock.
-
-    Tail-dispatches straight into the compiled fragment (``_chainN`` in
-    the megablock environment) and keeps the dispatch loop's accounting
-    invariants: ``state.icount`` advances per retired fragment (guest
-    ``RDINSTR`` mid-chain must read the same counter the fused tier
-    shows it) and ``d`` counts completed fragment dispatches.  On a
-    guest fault the stub restores the faulting PC from the fragment's
-    own ``block_progress`` (the head-relative reconstruction the loop
-    would do is wrong for interior fragments), folds the chain's prior
-    progress into ``block_progress`` and backs its ``icount`` out so
-    the loop's uniform fault accounting lands on exactly the numbers
-    the fused tier produces, then re-raises for normal delivery.
-    """
-    return [
-        "try:",
-        f"    x = _chain{index}(state, budget)",
-        "except GuestFault as _f:",
-        f"    state.pc = {pc} + ((state.block_progress % {length}) * 4)",
-        "    state.block_progress = n + state.block_progress",
-        "    state.icount -= n",
-        "    VS.block_dispatches += d",
-        "    raise _f",
-        "n += x",
-        "d += 1",
-        "state.icount += x",
-    ]

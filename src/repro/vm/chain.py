@@ -1,4 +1,4 @@
-"""Trace-linked megablocks: chained superblock dispatch (tier 3).
+"""Trace-linked megablocks: inline-fused superblock chains (tier 3).
 
 The fused tier (PR 3) compiles the timing model into each superblock
 but still returns to the Python dispatch loop at every block boundary —
@@ -6,10 +6,14 @@ one dict lookup, a handful of attribute reads and a call frame per few
 guest instructions.  This module adds the tier above it, the analogue
 of Dynamo's fragment linking and QEMU/HQEMU's TB chaining: once the
 tier-promotion counters mark a fused superblock hot, the linker records
-its observed successors and re-emits it as a **megablock** — a single
-compiled function that tail-dispatches straight through the chain of
-already-compiled fragments with *direct-threaded exits*, so hot loops
-execute as a closed chain without touching the dispatch loop.
+its observed successors and re-emits the chain as a **megablock** — the
+constituents' fused bodies spliced into one compiled function with a
+single shared timing-model prologue/epilogue and guarded exits between
+fragments, so hot loops execute as a closed chain without touching the
+dispatch loop.  There is one emission form: a link set that cannot be
+spliced (a fragment with dynamic ring addressing, or code that no
+longer decodes to the translated fragment) is simply not chained — the
+head stays a fused block and may re-earn promotion later.
 
 Equivalence contract
 --------------------
@@ -35,10 +39,10 @@ exactly:
 Linking and unlinking invariants
 --------------------------------
 
-* A chain may only thread into fragments resident in the binding's
-  fused cache at build time; the compiled closures stay valid even if
-  the cache later evicts them (eviction is host bookkeeping, the guest
-  code is unchanged).
+* A chain may only fuse fragments resident in the binding's fused
+  cache at build time; the megablock stays valid even if the cache
+  later evicts them (eviction is host bookkeeping, the guest code is
+  unchanged).
 * Invalidating any byte of any constituent fragment — SMC store, page
   invalidation, or flush — unlinks every chain that enters it *and*
   bumps the generation counter, so even a chain currently executing
@@ -55,8 +59,7 @@ bit-identical either way, only wall-clock changes.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from repro.mem.faults import GuestFault
 
@@ -72,8 +75,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
     BlockCodegen = TimedBlockCodegen | WarmingBlockCodegen
 
-__all__ = ["ChainLinker", "MAX_CHAIN", "DEFAULT_OBSERVATIONS",
-           "emit_chain_source"]
+__all__ = ["ChainLinker", "MAX_CHAIN", "DEFAULT_OBSERVATIONS"]
 
 #: longest chain a megablock may thread through.  Long enough that a
 #: typical hot loop body (a handful of superblocks) closes into one
@@ -89,53 +91,6 @@ DEFAULT_OBSERVATIONS = 16
 #: hold before an exit stub threads into it — chaining a coin-flip
 #: branch would pay the guard on every dispatch and win nothing
 MIN_SUCCESSOR_SHARE = 0.6
-
-
-def emit_chain_source(chain: Sequence[Tuple[int, int]],
-                      loop_back: bool, flavor: str) -> str:
-    """Python source for one megablock over ``chain`` fragments.
-
-    ``chain`` is the ordered list of constituent ``(pc, length)``
-    pairs; the compiled fragments themselves arrive through the exec
-    environment as ``_chain0..N`` (the sanitizer's chained-dispatch
-    call form), keeping the emitted source — and therefore the host
-    compiled-code cache entry — a pure function of the link-set
-    fingerprint, never of which machine built it.  ``loop_back`` means
-    the last fragment's dominant successor is the head: the chain
-    closes into a ``while`` loop and hot loops iterate entirely inside
-    this function until a guard breaks.
-    """
-    from repro.timing.codegen import chain_call_stub, chain_exit_stub
-
-    lines: List[str] = [
-        "def _block(state, budget):",
-        "    _irq = IRQ",
-        "    _gen = GEN",
-        "    _g0 = _gen[0]",
-        "    n = 0",
-        "    d = 0",
-        "    while 1:",
-    ]
-    ind = "        "
-    head_pc = chain[0][0]
-    for index, (pc, length) in enumerate(chain):
-        for text in chain_call_stub(index, pc, length):
-            lines.append(ind + text)
-        is_last = index == len(chain) - 1
-        if not is_last:
-            lines.extend(ind + text for text in
-                         chain_exit_stub(flavor, chain[index + 1][0]))
-        elif loop_back:
-            lines.extend(ind + text for text in
-                         chain_exit_stub(flavor, head_pc))
-        else:
-            lines.append(ind + "break")
-    lines += [
-        "    state.icount -= n",
-        "    VS.block_dispatches += d - 1",
-        "    return n",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 class ChainLinker:
@@ -206,7 +161,9 @@ class ChainLinker:
         return best[0]
 
     def _build(self, head: int) -> Optional[ChainedBlock]:
-        """Thread the dominant-successor chain starting at ``head``."""
+        """Inline-fuse the dominant-successor chain starting at
+        ``head``; None when there is nothing to chain or the link set
+        cannot be fused (the head then simply stays a fused block)."""
         fragments: List["TranslatedBlock"] = []
         seen: Set[int] = set()
         loop_back = False
@@ -229,6 +186,8 @@ class ChainLinker:
         if not fragments or (len(fragments) < 2 and not loop_back):
             return None  # nothing to thread
         entry = self._compile(head, fragments, loop_back)
+        if entry is None:
+            return None  # declined: the link set cannot be fused
         self.mega[head] = entry
         for vpn in entry.pages:
             self.page_index.setdefault(vpn, set()).add(head)
@@ -244,88 +203,57 @@ class ChainLinker:
 
     def _compile(self, head: int,
                  fragments: Sequence["TranslatedBlock"],
-                 loop_back: bool) -> ChainedBlock:
+                 loop_back: bool) -> Optional[ChainedBlock]:
         """Emit, sanitize and compile one megablock (sanctioned JIT
         site — rule REPRO004 lists this module beside the translator).
 
-        Two emission strategies share the same guard/accounting
-        contract:
-
-        * **inline fusion** (preferred): re-decode the constituents and
-          splice their fused bodies into one function with a single
-          shared timing-model prologue/epilogue
-          (:meth:`~repro.vm.translator.Translator.generate_chain`) —
-          this is where the speedup lives;
-        * **call threading** (fallback, :func:`emit_chain_source`):
-          tail-dispatch through the already-compiled fragment closures
-          with direct-threaded exit stubs.  Used when a fragment's
-          emitted form cannot be spliced (dynamic ring addressing) or
-          its code changed since translation.
+        The constituents are re-decoded and their fused bodies spliced
+        into one function with a single shared timing-model
+        prologue/epilogue
+        (:meth:`~repro.vm.translator.Translator.generate_chain`) — this
+        is where the speedup lives.  A link set that cannot be spliced
+        is declined (None): a fragment uses dynamic ring addressing
+        (``generate_chain`` raises ``ValueError``) or its code no longer
+        decodes to the translated fragment.
         """
-        chain = tuple((block.pc, block.length) for block in fragments)
-        flavor = self.codegen.flavor
         translator = self.machine.translator
+        frags = [(block.pc, translator._decode_block(block.pc))
+                 for block in fragments]
+        if any(len(instrs) != block.length
+               for block, (_pc, instrs) in zip(fragments, frags)):
+            return None  # the code changed since translation
+        key = ("mega-inline", self.codegen.cache_key, loop_back,
+               tuple((pc, tuple((i.op, i.rd, i.rs1, i.rs2, i.imm)
+                                for i in instrs))
+                     for pc, instrs in frags))
+        source: Optional[str] = None
+        if _translator._CODE_CACHE.get(key) is None:
+            # generate eagerly: a fragment that cannot be spliced
+            # (dynamic ring addressing) raises here and is declined
+            try:
+                source = translator.generate_chain(frags, loop_back,
+                                                   self.codegen)
+            except ValueError:
+                return None
+        flavor = self.codegen.flavor
         env = {"GuestFault": GuestFault,
-               "VS": self.machine.stats,
                "IRQ": self.machine._pending_irqs,
                "GEN": self.generation}
-        key: Optional[tuple] = None
-        source_fn: Optional[Callable[[], str]] = None
-        inline_frags = None
-        try:
-            frags = [(block.pc, translator._decode_block(block.pc))
-                     for block in fragments]
-            for block, (_pc, instrs) in zip(fragments, frags):
-                if len(instrs) != block.length:
-                    raise ValueError("decode no longer matches the "
-                                     "translated fragment")
-            key = ("mega-inline", self.codegen.cache_key, loop_back,
-                   tuple((pc, tuple((i.op, i.rd, i.rs1, i.rs2, i.imm)
-                                    for i in instrs))
-                         for pc, instrs in frags))
-            if _translator._CODE_CACHE.get(key) is None:
-                # generate eagerly: a fragment that cannot be spliced
-                # (dynamic ring addressing) raises here, inside the
-                # try, selecting the call-threaded fallback below
-                inline_source = translator.generate_chain(
-                    frags, loop_back, self.codegen)
-                source_fn = lambda: inline_source  # noqa: E731
-                inline_frags = frags
-            env.update(translator._env_base)
-            env.update(self.codegen.env())
-            env["VS"] = self.machine.stats     # keep ours over any alias
-        except ValueError:
-            key = None
-            inline_frags = None
-        if key is None:
-            # call-threaded fallback: the compiled fragment closures
-            # become the chain environment (_chain0.._chainN)
-            key = ("mega", flavor, loop_back, chain)
-            env = {"GuestFault": GuestFault,
-                   "VS": self.machine.stats,
-                   "IRQ": self.machine._pending_irqs,
-                   "GEN": self.generation}
-            for index, block in enumerate(fragments):
-                env[f"_chain{index}"] = block.fn
-            source_fn = lambda: emit_chain_source(  # noqa: E731
-                chain, loop_back, flavor)
+        env.update(translator._env_base)
+        env.update(self.codegen.env())
+        env["VS"] = self.machine.stats     # keep ours over any alias
         verifier = _translator._verifier()
 
         def verify(source: str) -> None:
             # symbolic deep-check seam (see translator._verify_block)
-            if not verifier.verifier_active():
-                return
-            if inline_frags is not None:
-                verifier.hook_inline_chain(source, inline_frags,
-                                           loop_back, flavor)
-            else:
-                verifier.hook_threaded_chain(source, chain, loop_back,
-                                             flavor)
+            if verifier.verifier_active():
+                verifier.hook_inline_chain(source, frags, loop_back,
+                                           flavor)
 
         profiler = _translator._profiler()
         profiling = profiler.profiling_enabled()
         code, _source = _translator.compile_block(
-            key, source_fn, env, f"<megablock 0x{head:x} {flavor}>",
+            key, lambda: source, env, f"<megablock 0x{head:x} {flavor}>",
             "mega", verify, head, "megablock")
         namespace = env
         exec(code, namespace)  # noqa: S102 - the megablock tier's JIT
@@ -337,6 +265,7 @@ class ChainLinker:
         for block in fragments:
             pages |= block_pages(block.pc, block.length)
             length += block.length
+        chain = tuple((block.pc, block.length) for block in fragments)
         return ChainedBlock(head, fn, length, pages, chain)
 
     # ------------------------------------------------------------------

@@ -743,8 +743,7 @@ class Translator:
         """Inline-fuse a chain of fused blocks into one megablock.
 
         ``frags`` is the ordered list of ``(pc, instrs)`` constituents.
-        Instead of tail-calling the fragments' compiled closures, the
-        chain re-emits their fused bodies into a single function that
+        The chain re-emits their fused bodies into a single function that
         shares ONE timing-model prologue and ONE epilogue: the heavy
         spill of core micro-state (bandwidth rings, queue pointers,
         unit busy times, branch state) into locals happens once per
@@ -764,8 +763,7 @@ class Translator:
         ``_base + _n``) and the fault re-raises.
 
         Raises ``ValueError`` for fragments the glue cannot bridge
-        (dynamic ring addressing); the caller falls back to the
-        call-threaded chain form.
+        (dynamic ring addressing); the linker then declines to chain.
         """
         emitters = [codegen.begin(pc, instrs) for pc, instrs in frags]
         timed = emitters[0].timed
@@ -824,7 +822,6 @@ class Translator:
         lines.append("    while 1:")
         ind = "        "
         bind = "            "
-        flavor = codegen.flavor
         # A single-fragment loop chain (by far the common shape: a hot
         # guest loop whose body is one superblock) needs no per-
         # iteration dispatch counter — every completed iteration is one
@@ -891,9 +888,8 @@ class Translator:
                 lines.extend(ind + text for text in clean_exit)
                 lines.append(f"{ind}break")
                 continue
-            for text in chain_exit_stub(
-                    flavor, succ, on_break=clean_exit,
-                    budget_test=f"_base >= _lim{length}"):
+            for text in chain_exit_stub(succ, clean_exit,
+                                        f"_base >= _lim{length}"):
                 lines.append(ind + text)
             lines.append(f"{ind}_base = _base + {length}")
             if track_icount:

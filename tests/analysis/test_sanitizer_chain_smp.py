@@ -1,11 +1,12 @@
-"""Sanitizer coverage for the megablock chained-dispatch call form,
-sourced from a live 2-core SMP run.
+"""Sanitizer coverage for megablock sources, taken from a live 2-core
+SMP run.
 
-The direct-threaded fallback (``_chainN(state, budget)`` call stubs)
-is the one place generated code calls another generated function; the
-sanitizer admits exactly that call shape under the ``mega`` flavor and
-nothing looser.  These tests feed it real fallback sources built by a
-two-hart machine rather than hand-written fixtures.
+Every megablock is an inline-fused chain: the constituents' fused
+bodies spliced into one function whose exit stubs read the linker's
+``IRQ``/``GEN`` bindings.  These tests feed the sanitizer the real
+chain sources a two-hart machine builds, rather than hand-written
+fixtures, and check that the exact environment the linker binds is
+both sufficient and necessary.
 """
 
 import pytest
@@ -19,69 +20,65 @@ from repro.vm import MODE_EVENT
 from repro.vm import translator as translator_module
 from repro.workloads import SUITE_MACHINE_KWARGS, build_parallel
 
-
-def _chain_env(source):
-    """The exact environment the chain linker binds for a threaded
-    chain: the base names plus one ``_chainN`` per fragment."""
-    env = {"GuestFault", "VS", "IRQ", "GEN"}
-    env.update(name for name in
-               (f"_chain{i}" for i in range(64)) if name in source)
-    return frozenset(env)
+#: the names the chain linker binds beside the translator and codegen
+#: environments
+LINKER_NAMES = frozenset({"GuestFault", "VS", "IRQ", "GEN"})
 
 
 @pytest.fixture(scope="module")
-def smp_chain_sources():
-    """Threaded-chain sources captured from a 2-core run with inline
-    fusion disabled, so every chain takes the fallback call form."""
-    def boom(*args, **kwargs):
-        raise ValueError("forced threaded fallback")
-
+def smp_chains():
+    """(sources, environment) of the inline chains a 2-core run
+    builds."""
     translator_module._CODE_CACHE.clear()
     system = build_parallel("lockcnt", size="tiny").boot(
         n_cores=2, **SUITE_MACHINE_KWARGS)
     machine = system.machine
     sinks = []
+    env = set(LINKER_NAMES)
     for core in machine.cores:
-        core.translator.generate_chain = boom
         sink = OutOfOrderCore(TimingConfig.small())
-        core.register_fast_sink(sink, TimedBlockCodegen(sink))
+        codegen = TimedBlockCodegen(sink)
+        core.register_fast_sink(sink, codegen)
         core.fast_promote_threshold = 2
         sinks.append(sink)
+        env.update(core.translator._env_base)
+        env.update(codegen.env())
     machine.mega_promote_threshold = 4
     with symexec.capture() as captured:
         system.run(12_000, mode=MODE_EVENT, sink=sinks)
     translator_module._CODE_CACHE.clear()
     sources = [item.source for item in captured
-               if item.form == "chain-threaded"]
-    assert sources, "SMP run built no threaded chains"
-    return sources
+               if item.form == "chain-inline"]
+    assert sources, "SMP run built no chains"
+    return sources, frozenset(env)
 
 
-def test_smp_fallback_sources_sanitize_clean(smp_chain_sources):
-    for source in smp_chain_sources:
-        sanitize_block_source(source, _chain_env(source), "mega")
-
-
-def test_chain_call_needs_linker_binding(smp_chain_sources):
-    # _chainN is only callable because the linker bound it; outside
-    # that environment the same source is an unknown-name rejection
-    source = smp_chain_sources[0]
-    env = frozenset(name for name in _chain_env(source)
-                    if not name.startswith("_chain"))
-    with pytest.raises(SanitizerError) as excinfo:
+def test_smp_chain_sources_sanitize_clean(smp_chains):
+    sources, env = smp_chains
+    for source in sources:
         sanitize_block_source(source, env, "mega")
-    assert "_chain" in "\n".join(excinfo.value.reasons)
+
+
+def test_chain_guards_need_linker_binding(smp_chains):
+    # the exit stubs read IRQ and GEN only because the linker bound
+    # them; outside that environment they are unknown-name rejections
+    sources, env = smp_chains
+    with pytest.raises(SanitizerError) as excinfo:
+        sanitize_block_source(sources[0], env - {"IRQ", "GEN"}, "mega")
+    reasons = "\n".join(excinfo.value.reasons)
+    assert "'IRQ'" in reasons and "'GEN'" in reasons
 
 
 @pytest.mark.parametrize("mangle", [
-    ("_chain0(state, budget)", "_chain0(state)"),
-    ("_chain0(state, budget)", "_chain0(budget, state)"),
-    ("_chain0(state, budget)", "_chain0(state, budget, 1)"),
-    ("_chain0(state, budget)", "_chain0(state.regs, budget)"),
+    ("    _gen = GEN\n", "    _gen = GEN\n    import os\n"),
+    ("    _gen = GEN\n", "    _gen = GEN.__class__\n"),
+    ("raise _flt", "raise GEN"),
+    ("VS.block_dispatches = VS", "VS.block_dispatches = len.__self__"),
 ])
-def test_malformed_chained_dispatch_rejected(smp_chain_sources, mangle):
+def test_malformed_chained_dispatch_rejected(smp_chains, mangle):
+    sources, env = smp_chains
     old, new = mangle
-    source = next(s for s in smp_chain_sources if old in s)
+    source = sources[0]
+    assert old in source
     with pytest.raises(SanitizerError):
-        sanitize_block_source(source.replace(old, new),
-                              _chain_env(source), "mega")
+        sanitize_block_source(source.replace(old, new), env, "mega")

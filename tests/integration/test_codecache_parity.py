@@ -1,7 +1,7 @@
 """The persistent code cache never changes a result.
 
 Runs the cells of the three parity suites — the engines
-(``test_fastpath_parity``), the megablock tier in both emission forms
+(``test_fastpath_parity``), the megablock tier built and declined
 (``test_megablock_parity``) and checkpoint acceleration off/cold/warm
 (``test_checkpoint_parity``) — three times over one ``codecache-v1/``
 directory:
@@ -33,9 +33,9 @@ from repro.workloads import (SUITE_MACHINE_KWARGS, WorkloadBuilder,
                              load_benchmark)
 
 #: mega = fused engine with the megablock tier (inline fusion),
-#: threaded = the same with every chain forced onto call threading,
-#: fused = tier off, event / interp = the two slow-path oracles
-ENGINES = ("mega", "threaded", "fused", "event", "interp")
+#: declined = the same with every link set declined (fusion forced to
+#: fail), fused = tier off, event / interp = the two slow-path oracles
+ENGINES = ("mega", "declined", "fused", "event", "interp")
 
 
 def chains_built(machine):
@@ -55,17 +55,24 @@ def engine_cell(engine):
         machine.fast_path = False
     if engine == "fused":
         machine.megablocks = False
-    if engine == "threaded":
+    if engine == "declined":
         def no_inline(*args, **kwargs):
-            raise ValueError("forced call-threaded fallback")
+            raise ValueError("forced decline")
         machine.translator.generate_chain = no_inline
+        # megablocks an earlier cell compiled would be served from the
+        # in-process cache without ever reaching generate_chain
+        for key in [key for key in translator_module._CODE_CACHE
+                    if key[0] == "mega-inline"]:
+            del translator_module._CODE_CACHE[key]
     machine.fast_promote_threshold = 2
     machine.mega_promote_threshold = 4
     result = policy_factory("smarts")().run(controller)
     decisions = [{k: v for k, v in record.items() if k != "ts"}
                  for record in obs.decision_timeline(sink.events)]
-    if engine in ("mega", "threaded"):
+    if engine == "mega":
         assert chains_built(machine) > 0  # the tier really engaged
+    if engine == "declined":
+        assert chains_built(machine) == 0
     return result.canonical_dict(), result.extra["vm_stats"], decisions
 
 

@@ -49,6 +49,18 @@ def test_choose_clustering_prefers_enough_clusters():
     assert result.k >= 4
 
 
+def test_choose_clustering_skips_k_equal_to_interval_count():
+    # 8 intervals in two far-apart pairs of close pairs: candidate k=8
+    # equals the interval count (BIC -inf), k=2 reaches 90% of the
+    # finite BIC range and must win over the argmax (k=4)
+    rng = np.random.default_rng(1)
+    centers = [(0.0, 0.0), (0.8, 0.0), (100.0, 0.0), (100.8, 0.0)]
+    data = np.vstack([rng.normal(c, 0.2, size=(2, 2)) for c in centers])
+    assert kmeans(data, 8, seed=8).bic == -np.inf
+    assert kmeans(data, 4, seed=4).bic > kmeans(data, 2, seed=2).bic
+    assert choose_clustering(data, max_k=8, seed=0).k == 2
+
+
 def test_choose_clustering_min_k_floor():
     data = blobs([np.zeros(4)], per_cluster=400, spread=0.2)
     result = choose_clustering(data, max_k=40, seed=0)

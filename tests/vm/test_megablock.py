@@ -2,19 +2,19 @@
 
 The trace-linked tier above fused superblocks (``repro.vm.chain``):
 hot heads record their observed successors and are re-emitted as
-chained megablocks with direct-threaded exits.  The contract under
-test is the equivalence contract from the module docstring — results
-are bit-identical with the tier on or off (``REPRO_MEGABLOCKS=0``),
+inline-fused megablocks with guarded exits.  The contract under test
+is the equivalence contract from the module docstring — results are
+bit-identical with the tier on or off (``REPRO_MEGABLOCKS=0``),
 including ``block_dispatches``, the full VM-stat snapshot and the
 out-of-order core's cycle count — plus the linking/unlinking
 invariants: SMC and page invalidation unlink precisely the chains
 whose fragments they hit, bump the generation epoch, and the head
-re-earns promotion afterwards.
+re-earns promotion afterwards.  A link set that cannot be fused is
+declined: no chain is built and the head stays a fused block.
 """
 
-import pytest
+import dataclasses
 
-from repro.analysis.sanitizer import SanitizerError, sanitize_block_source
 from repro.isa import assemble
 from repro.kernel import boot
 from repro.mem import PAGE_SHIFT
@@ -35,11 +35,27 @@ loop:
 """
 
 
-def chained_machine(mega=True, fast_threshold=4, mega_threshold=8):
-    system = boot(assemble(LOOP_SOURCE))
+#: a loop body (5 instructions) longer than the fetch queue below
+LONG_LOOP_SOURCE = """
+_start:
+    li s0, 0
+    li s1, 2000
+loop:
+    addi s0, s0, 1
+    addi s2, s2, 2
+    addi t0, t0, 3
+    addi t1, t1, 4
+    blt s0, s1, loop
+    halt
+"""
+
+
+def chained_machine(mega=True, fast_threshold=4, mega_threshold=8,
+                    source=LOOP_SOURCE, config=None):
+    system = boot(assemble(source))
     machine = system.machine
     machine.megablocks = mega
-    core = OutOfOrderCore(TimingConfig.small())
+    core = OutOfOrderCore(config or TimingConfig.small())
     machine.register_fast_sink(core, TimedBlockCodegen(core))
     machine.fast_promote_threshold = fast_threshold
     machine.mega_promote_threshold = mega_threshold
@@ -134,10 +150,22 @@ def test_megablocks_env_switch(monkeypatch):
     assert boot(assemble("halt")).machine.megablocks is True
 
 
-def test_call_threaded_fallback_bit_identical(monkeypatch):
-    # force the inline-fusion strategy to fail the way a non-spliceable
-    # fragment does (ValueError): the linker must fall back to call
-    # threading through the compiled closures, with identical results
+def assert_declined(machine, core):
+    """The linker finalized link sets but built no chain, and every
+    head it tried is still dispatched from the fused cache."""
+    linker = the_linker(machine, core)
+    assert linker.links, "no head ever ripened for chaining"
+    assert linker.chains_built == 0
+    assert not linker.mega
+    _sink, _codegen, cache, _counts = machine._fast_bindings[id(core)]
+    for head in linker.links:
+        assert head in cache._blocks
+
+
+def test_unspliceable_link_set_declines_bit_identical(monkeypatch):
+    # force inline fusion to fail the way a non-spliceable fragment
+    # does (ValueError): the linker declines to chain, compiles no
+    # megablock, and results match the tier switched off
     monkeypatch.setattr(translator_module, "_CODE_CACHE", {})
     system, machine, core = chained_machine()
 
@@ -147,16 +175,29 @@ def test_call_threaded_fallback_bit_identical(monkeypatch):
     monkeypatch.setattr(machine.translator, "generate_chain",
                         not_spliceable)
     total = run_chunked(system, machine, core)
-    linker = the_linker(machine, core)
-    assert linker.chains_built > 0
-    assert any(key[0] == "mega"
-               for key in translator_module._CODE_CACHE), \
-        "fallback never compiled a call-threaded chain"
-    assert not any(key[0] == "mega-inline"
+    assert_declined(machine, core)
+    assert not any(key[0].startswith("mega")
                    for key in translator_module._CODE_CACHE)
-    threaded = fingerprint(machine, core, total)
+    declined = fingerprint(machine, core, total)
     without, _ = run_loop(mega=False)
-    assert threaded == without
+    assert declined == without
+
+
+def test_dynamic_ring_addressing_declines_bit_identical():
+    # a fetch queue shorter than the loop body gives every timed
+    # fragment dynamic ring addressing, which inline fusion cannot
+    # bridge: a real (unpatched) decline
+    config = dataclasses.replace(TimingConfig.small(),
+                                 fetch_queue_size=2)
+    results = []
+    for mega in (True, False):
+        system, machine, core = chained_machine(
+            mega=mega, source=LONG_LOOP_SOURCE, config=config)
+        total = run_chunked(system, machine, core)
+        if mega:
+            assert_declined(machine, core)
+        results.append(fingerprint(machine, core, total))
+    assert results[0] == results[1]  # icount, pc, regs, vmstats, cycles
 
 
 # ----------------------------------------------------------------------
@@ -196,43 +237,6 @@ def test_smc_unlink_is_range_precise():
     assert head in linker.mega
     assert linker.invalidate_address(vpn, head) == 1
     assert head not in linker.mega
-
-
-# ----------------------------------------------------------------------
-# sanitizer: the chained-dispatch call form
-
-CHAIN_ENV = ("state", "budget", "GuestFault", "VS", "IRQ", "GEN",
-             "_chain0", "_chain1")
-
-
-def chain_source(call):
-    return (f"def _block(state, budget):\n"
-            f"    n = {call}\n"
-            f"    return n\n")
-
-
-def test_sanitizer_accepts_canonical_chain_call():
-    sanitize_block_source(chain_source("_chain0(state, budget)"),
-                          CHAIN_ENV, "mega")
-    sanitize_block_source(chain_source("_chain1(state, budget - n)"),
-                          CHAIN_ENV, "mega")
-
-
-@pytest.mark.parametrize("call", (
-    "_chain0(budget, state)",          # wrong receiver position
-    "_chain0(state)",                  # missing budget
-    "_chain0(state, budget, 1)",       # extra positional
-    "_chain0(state, budget=budget)",   # keyword form
-))
-def test_sanitizer_rejects_malformed_chain_calls(call):
-    with pytest.raises(SanitizerError, match="chained dispatch"):
-        sanitize_block_source(chain_source(call), CHAIN_ENV, "mega")
-
-
-def test_sanitizer_rejects_unknown_chain_name():
-    with pytest.raises(SanitizerError, match="unknown name"):
-        sanitize_block_source(chain_source("_chain7(state, budget)"),
-                              CHAIN_ENV, "mega")
 
 
 # ----------------------------------------------------------------------
