@@ -24,9 +24,4 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.cli import main  # noqa: E402
 
 if __name__ == "__main__":
-    default_baseline = os.path.join(os.path.dirname(__file__),
-                                    "BENCH_checkpoint.json")
-    argv = sys.argv[1:]
-    if not any(arg.startswith("--baseline") for arg in argv):
-        argv += ["--baseline", default_baseline]
-    raise SystemExit(main(["bench", "--suite", "checkpoint"] + argv))
+    raise SystemExit(main(["bench", "--suite", "checkpoint"] + sys.argv[1:]))

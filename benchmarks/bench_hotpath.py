@@ -5,7 +5,7 @@ of the fused superblock fast path and of the ``REPRO_SLOW_PATH=1``
 per-instruction interpreter oracle, in timed and functional-warming
 event mode, per suite size, with per-benchmark and geomean speedups.
 
-This is a thin wrapper over ``repro.harness.hotpath`` (also reachable
+This is a thin wrapper over ``repro.harness.throughput`` (also reachable
 as ``python -m repro bench``) so the benchmark directory stays the
 one-stop shop for every figure/number the repo produces::
 
@@ -22,9 +22,4 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.cli import main  # noqa: E402
 
 if __name__ == "__main__":
-    default_baseline = os.path.join(os.path.dirname(__file__),
-                                    "BENCH_hotpath.json")
-    argv = sys.argv[1:]
-    if not any(arg.startswith("--baseline") for arg in argv):
-        argv += ["--baseline", default_baseline]
-    raise SystemExit(main(["bench"] + argv))
+    raise SystemExit(main(["bench"] + sys.argv[1:]))

@@ -7,7 +7,7 @@ same fast-path engine with the tier disabled (``REPRO_MEGABLOCKS=0``),
 in timed and functional-warming event mode on the loop-dominated
 suite, with per-benchmark and geomean speedups.
 
-This is a thin wrapper over ``repro.harness.megablock`` (also
+This is a thin wrapper over ``repro.harness.throughput`` (also
 reachable as ``python -m repro bench --suite megablock``) so the
 benchmark directory stays the one-stop shop for every figure/number
 the repo produces::
@@ -25,9 +25,4 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.cli import main  # noqa: E402
 
 if __name__ == "__main__":
-    default_baseline = os.path.join(os.path.dirname(__file__),
-                                    "BENCH_megablock.json")
-    argv = sys.argv[1:]
-    if not any(arg.startswith("--baseline") for arg in argv):
-        argv += ["--baseline", default_baseline]
-    raise SystemExit(main(["bench", "--suite", "megablock"] + argv))
+    raise SystemExit(main(["bench", "--suite", "megablock"] + sys.argv[1:]))

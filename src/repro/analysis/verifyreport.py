@@ -152,7 +152,7 @@ def run_corpus(corpus: str = "tiny",
                progress: Optional[Callable[[str], None]] = None,
                ) -> VerifyReport:
     """Verify every block/superblock/megablock the corpus generates."""
-    from repro.harness.megablock import MEGABLOCK_BENCHES
+    from repro.harness.throughput import MEGABLOCK_BENCHES
 
     if corpus not in CORPUS_WINDOWS:
         raise ValueError(f"unknown corpus {corpus!r}; "

@@ -59,29 +59,25 @@ Commands
     multi-core suite table, or the ``frontier`` accuracy-vs-cost
     Pareto sweep over the whole policy zoo.
 ``bench [--suite hotpath|checkpoint|frontier|megablock] [--size S[,S]]
-[--benchmarks a,b]
+[--benchmarks a,b] [--repeats N]
 [--check] [--update-baseline] [--baseline FILE] [--out FILE]
 [--tolerance F] [--record-history] [--history FILE] [--json]``
-    Performance benchmarks backing the CI perf gates.  ``hotpath``
-    (default): fused fast path vs the ``REPRO_SLOW_PATH=1``
-    interpreter oracle, per mode and suite size, gated against
-    ``benchmarks/BENCH_hotpath.json``.  ``checkpoint``: warm-vs-cold
-    checkpoint-store wall clock of the SimPoint policies, gated
-    against ``benchmarks/BENCH_checkpoint.json`` (absolute floors:
-    restore-policy geomean speedup and delta-snapshot ratio).
-    ``frontier``: modeled accuracy-vs-cost sweep over the whole
-    policy zoo, gated against ``benchmarks/BENCH_frontier.json``
-    (absolute floor: policy coverage; per-policy speedup and
-    accuracy-drift tolerances).  ``megablock``: chained-dispatch
-    megablock tier vs the fused tier on the loop-dominated suite,
-    gated against ``benchmarks/BENCH_megablock.json`` (absolute
-    floor: overall speedup geomean).
-    ``--check`` fails on a >25% ratio regression vs the committed
-    baseline; ``--update-baseline`` rewrites that file.
-    ``--record-history`` appends this run's ratio metrics as a dated
-    entry to ``benchmarks/HISTORY.jsonl``; with ``--check`` the gate
-    also compares against the rolling median of the recorded
-    trajectory, catching slow drift a single-point baseline misses.
+    The CI perf gates, one suite each of ``repro.harness.bench``.
+    ``hotpath`` (default): fused fast path vs the ``REPRO_SLOW_PATH=1``
+    interpreter oracle, per mode and size.  ``megablock``: megablock
+    tier vs the fused tier (absolute floor: small overall geomean).
+    ``checkpoint``: warm-vs-cold checkpoint-store wall clock (absolute
+    floors: restore-policy geomean and delta-snapshot ratio).
+    ``frontier``: modeled accuracy-vs-cost sweep of the policy zoo
+    (floor: policy coverage; speedup and accuracy-drift tolerances).
+    Only hotpath and megablock take several sizes; ``--repeats`` sets
+    best-of-N probes for the wall-clock suites.  ``--check`` fails on
+    a >25% ratio regression vs the committed
+    ``benchmarks/BENCH_<suite>.json``; ``--update-baseline`` rewrites
+    it.  ``--record-history`` appends this run's ratio metrics to
+    ``benchmarks/HISTORY.jsonl``; with ``--check`` the gate also
+    compares against the rolling median of that trajectory.  Both
+    default paths are in the source checkout, whatever the cwd.
 ``exec FILE.s``
     Assemble a Z64 source file, run it on the VM, print its console
     output and exit code.
@@ -436,45 +432,26 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    benchmarks = (args.benchmarks.split(",") if args.benchmarks
-                  else None)
-    if args.suite == "checkpoint":
-        from repro.harness import checkpointbench as module
-        size = args.size or module.DEFAULT_SIZE
-        baseline_path = args.baseline or module.DEFAULT_BASELINE
-        payload = module.run_bench(benchmarks=benchmarks,
-                                   size=size.split(",")[0],
-                                   repeats=args.repeats
-                                   or module.DEFAULT_REPEATS)
-    elif args.suite == "frontier":
-        from repro.harness import frontier as module
-        size = args.size or module.DEFAULT_SIZE
-        baseline_path = args.baseline or module.DEFAULT_BASELINE
-        payload = module.run_bench(benchmarks=benchmarks,
-                                   size=size.split(",")[0])
-    elif args.suite == "megablock":
-        from repro.harness import megablock as module
-        sizes = [size for size
-                 in (args.size or module.DEFAULT_SIZE).split(",")
-                 if size]
-        baseline_path = args.baseline or module.DEFAULT_BASELINE
-        payload = module.run_bench(
-            sizes=sizes, benchmarks=benchmarks,
-            repeats=args.repeats or module.DEFAULT_REPEATS)
-    else:
-        from repro.harness import hotpath as module
-        sizes = [size for size in (args.size or "tiny").split(",")
-                 if size]
-        baseline_path = args.baseline or module.DEFAULT_BASELINE
-        payload = module.run_bench(sizes=sizes, benchmarks=benchmarks)
+    from repro.harness import bench, history
+    suite = bench.SUITES[args.suite]
+    sizes = [size for size in (args.size or suite.default_size).split(",")
+             if size]
+    if len(sizes) != 1 and not suite.multi_size:
+        print(f"bench --suite {args.suite} measures one size; "
+              f"got --size {args.size!r}", file=sys.stderr)
+        return 2
+    impl = suite.impl()
+    payload = impl.run(sizes, benchmarks=(args.benchmarks.split(",")
+                                          if args.benchmarks else None),
+                       repeats=args.repeats)
+    baseline_path = args.baseline or suite.baseline
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(module.format_table(payload))
+        print(impl.format_table(payload))
     if args.out:
-        module.write_baseline(payload, args.out)
+        bench.write_baseline(payload, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
-    from repro.harness import history
     history_path = args.history or history.DEFAULT_HISTORY
     recorded = None
     if args.record_history:
@@ -483,18 +460,18 @@ def _cmd_bench(args) -> int:
         print(f"history: entry {count} appended to {history_path}",
               file=sys.stderr)
     if args.update_baseline:
-        module.write_baseline(payload, baseline_path)
+        bench.write_baseline(payload, baseline_path)
         print(f"baseline updated: {baseline_path}", file=sys.stderr)
         return 0
     if args.check:
         try:
-            baseline = module.load_baseline(baseline_path)
+            baseline = bench.load_baseline(baseline_path)
         except FileNotFoundError:
             print(f"no baseline at {baseline_path}; run with "
                   "--update-baseline first", file=sys.stderr)
             return 2
-        problems = module.compare_to_baseline(
-            payload, baseline, tolerance=args.tolerance)
+        problems = bench.compare(args.suite, payload, baseline,
+                                 tolerance=args.tolerance)
         # trajectory gate: this run vs the rolling median of the
         # recorded history (appended in-memory when --record-history
         # didn't already persist it)
@@ -818,23 +795,20 @@ def main(argv=None) -> int:
     bench_parser.add_argument("--suite", default="hotpath",
                               choices=("hotpath", "checkpoint",
                                        "frontier", "megablock"),
-                              help="hotpath: fused fast path vs "
-                                   "interpreter oracle; checkpoint: "
-                                   "warm vs cold checkpoint store; "
-                                   "frontier: modeled accuracy-vs-"
-                                   "cost sweep over the policy zoo; "
-                                   "megablock: chained-dispatch tier "
-                                   "vs the fused tier")
+                              help="a repro.harness.bench suite: "
+                                   "hotpath (fast path vs oracle), "
+                                   "megablock (vs the fused tier), "
+                                   "checkpoint (warm vs cold store), "
+                                   "frontier (modeled policy zoo)")
     bench_parser.add_argument("--size", default="",
-                              help="suite size(s); default tiny "
-                                   "(hotpath, comma-separated), "
-                                   "small (megablock) or paper "
-                                   "(checkpoint)")
+                              help="suite size(s); default tiny, small "
+                                   "(megablock) or paper (checkpoint); "
+                                   "hotpath/megablock take a,b")
     bench_parser.add_argument("--benchmarks", default="",
                               help="comma-separated benchmark subset")
     bench_parser.add_argument("--repeats", type=int, default=None,
-                              help="checkpoint/megablock suites: "
-                                   "probes per cell (best-of-N)")
+                              help="wall-clock suites: probes per "
+                                   "cell (best-of-N)")
     bench_parser.add_argument("--check", action="store_true",
                               help="compare against the committed "
                                    "baseline; exit 1 on regression")
@@ -843,8 +817,9 @@ def main(argv=None) -> int:
                                    "from this run")
     bench_parser.add_argument("--baseline", default="",
                               help="baseline JSON path (default: the "
-                                   "suite's committed benchmarks/ "
-                                   "file)")
+                                   "suite's committed "
+                                   "benchmarks/BENCH_<suite>.json in "
+                                   "the source checkout)")
     bench_parser.add_argument("--out", default="",
                               help="also write this run's payload here")
     bench_parser.add_argument("--tolerance", type=float, default=0.25,
@@ -856,7 +831,8 @@ def main(argv=None) -> int:
                                    "file")
     bench_parser.add_argument("--history", default="",
                               help="history JSONL path (default: "
-                                   "benchmarks/HISTORY.jsonl)")
+                                   "benchmarks/HISTORY.jsonl in the "
+                                   "source checkout)")
     bench_parser.add_argument("--json", action="store_true",
                               help="machine-readable output")
 

@@ -24,13 +24,14 @@ so — like the hot-path gate — the CI comparison is host-independent.
 from __future__ import annotations
 
 import json
-import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional, Sequence
+
+from .bench import Metric, geomean
 
 SCHEMA_VERSION = 1
 
@@ -47,27 +48,15 @@ DEFAULT_POLICIES = ("simpoint", "simpoint-ckpt")
 #: headline ``speedup_geomean`` and the absolute gate are over its cells
 ACCEL_POLICY = "simpoint-ckpt"
 
-DEFAULT_SIZE = "paper"
-DEFAULT_BASELINE = "benchmarks/BENCH_checkpoint.json"
-DEFAULT_TOLERANCE = 0.25
-
 #: probes per (benchmark, policy): each probe is its own fresh store
 #: (cold then warm), and the best wall clock per side is reported —
 #: same best-of-N discipline as the hot-path benchmark
 DEFAULT_REPEATS = 2
 
-#: absolute gates (ISSUE acceptance criteria, enforced by --check on
-#: every CI run, not only relative to the committed baseline)
+#: absolute gates, enforced by --check on every CI run, not only
+#: relative to the committed baseline
 MIN_SPEEDUP_GEOMEAN = 3.0
 MAX_DELTA_RATIO = 0.25
-
-
-def geomean(values: Iterable[float]) -> float:
-    values = [value for value in values if value > 0]
-    if not values:
-        return 0.0
-    return math.exp(sum(math.log(value) for value in values)
-                    / len(values))
 
 
 # ----------------------------------------------------------------------
@@ -154,13 +143,13 @@ def measure_pair(bench: str, policy: str, size: str,
     }
 
 
-def run_bench(benchmarks: Optional[List[str]] = None,
-              policies: Optional[List[str]] = None,
-              size: str = DEFAULT_SIZE,
-              repeats: int = DEFAULT_REPEATS) -> Dict:
+def run(sizes: Sequence[str], benchmarks: Optional[List[str]] = None,
+        repeats: Optional[int] = None) -> Dict:
     """The full payload written to ``BENCH_checkpoint.json``."""
+    (size,) = sizes
     benchmarks = list(benchmarks or DEFAULT_BENCHMARKS)
-    policies = list(policies or DEFAULT_POLICIES)
+    policies = list(DEFAULT_POLICIES)
+    repeats = repeats or DEFAULT_REPEATS
     rows: Dict[str, Dict] = {}
     for bench in benchmarks:
         rows[bench] = {policy: measure_pair(bench, policy, size, repeats)
@@ -189,63 +178,47 @@ def run_bench(benchmarks: Optional[List[str]] = None,
     }
 
 
-# ----------------------------------------------------------------------
-# baseline comparison (the CI perf gate)
-
-def compare_to_baseline(current: Dict, baseline: Dict,
-                        tolerance: float = DEFAULT_TOLERANCE
-                        ) -> List[str]:
-    """Gate failures of ``current`` (empty list = gate passes).
-
-    Two kinds of check:
+def metrics(payload: Dict) -> Dict[str, Metric]:
+    """The gated and recorded numbers of one payload.
 
     * **absolute** — the acceptance floors hold regardless of history:
       warm-vs-cold geomean of the restore policy at least
       ``MIN_SPEEDUP_GEOMEAN``, worst delta-snapshot ratio at most
       ``MAX_DELTA_RATIO``, cold/warm results identical;
-    * **relative** — per-benchmark restore-policy speedups must not
-      fall more than ``tolerance`` (fractional) below the committed
-      baseline's, mirroring the hot-path gate.  Ratios of identical
-      deterministic work are host-independent, so this is safe across
-      CI runner generations.
+    * **relative** — per-benchmark restore-policy speedups and their
+      geomean must not fall more than the tolerance below the
+      committed baseline's.  Ratios of identical deterministic work
+      are host-independent, so this is safe across CI runners.
+
+    Every summary speedup geomean and ``delta_ratio_max`` are recorded
+    in the perf-trajectory history.
     """
-    problems: List[str] = []
-    summary = current["summary"]
-    if not summary.get("ipc_equal", False):
-        problems.append("cold/warm results diverged (ipc_equal false)")
-    sp = summary.get("speedup_geomean", 0.0)
-    if sp < MIN_SPEEDUP_GEOMEAN:
-        problems.append(
-            f"{ACCEL_POLICY} warm-vs-cold geomean {sp:.2f}x "
-            f"< required {MIN_SPEEDUP_GEOMEAN:.1f}x")
-    dr = summary.get("delta_ratio_max", 1.0)
-    if dr > MAX_DELTA_RATIO:
-        problems.append(
-            f"delta snapshot ratio {dr:.1%} "
-            f"> allowed {MAX_DELTA_RATIO:.0%}")
-    for bench, base_row in baseline.get("benchmarks", {}).items():
-        cur_row = current.get("benchmarks", {}).get(bench)
-        base_cell = base_row.get(ACCEL_POLICY)
-        if base_cell is None:
-            continue
-        if cur_row is None or ACCEL_POLICY not in cur_row:
-            problems.append(f"{bench}/{ACCEL_POLICY}: missing from run")
-            continue
-        base_ratio = base_cell["speedup"]
-        cur_ratio = cur_row[ACCEL_POLICY]["speedup"]
-        floor = base_ratio * (1.0 - tolerance)
-        if cur_ratio < floor:
-            problems.append(
-                f"{bench}/{ACCEL_POLICY}: speedup {cur_ratio:.2f}x"
-                f" < {floor:.2f}x"
-                f" (baseline {base_ratio:.2f}x - {tolerance:.0%})")
-    base_geo = baseline.get("summary", {}).get("speedup_geomean", 0.0)
-    floor = base_geo * (1.0 - tolerance)
-    if sp < floor:
-        problems.append(
-            f"overall: geomean speedup {sp:.2f}x < {floor:.2f}x "
-            f"(baseline {base_geo:.2f}x)")
-    return problems
+    summary = payload.get("summary", {})
+    metrics = {
+        "ipc_diverged": Metric(
+            0 if summary.get("ipc_equal", False) else 1,
+            "cold/warm results diverged", better="lower", ceiling=0,
+            fmt="d", unit=""),
+        "speedup_geomean": Metric(
+            summary.get("speedup_geomean", 0.0),
+            f"overall: {ACCEL_POLICY} warm-vs-cold geomean speedup",
+            relative=True, floor=MIN_SPEEDUP_GEOMEAN, history=True,
+            fmt=".1f"),
+        "delta_ratio_max": Metric(
+            summary.get("delta_ratio_max", 1.0), "delta snapshot ratio",
+            better="lower", ceiling=MAX_DELTA_RATIO, history=True,
+            fmt=".1%", unit=""),
+    }
+    for key, value in summary.items():
+        if key.endswith("speedup_geomean") and key not in metrics:
+            metrics[key] = Metric(value, key, history=True)
+    for bench, row in payload.get("benchmarks", {}).items():
+        if ACCEL_POLICY in row:
+            metrics[f"{bench}.{ACCEL_POLICY}.speedup"] = Metric(
+                row[ACCEL_POLICY]["speedup"],
+                f"{bench}/{ACCEL_POLICY}: speedup", relative=True,
+                group=f"{bench}/{ACCEL_POLICY}")
+    return metrics
 
 
 def format_table(payload: Dict) -> str:
@@ -274,16 +247,3 @@ def format_table(payload: Dict) -> str:
         f"worst delta ratio {summary['delta_ratio_max']:.1%} "
         f"(gate <= {MAX_DELTA_RATIO:.0%})")
     return "\n".join(lines)
-
-
-def load_baseline(path: str) -> Dict:
-    with open(path) as handle:
-        return json.load(handle)
-
-
-def write_baseline(payload: Dict, path: str) -> None:
-    # repro: store-ok committed CI baseline, single writer, no lock
-    with open(path, "w") as handle:
-        # repro: store-ok same committed baseline file as above
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")

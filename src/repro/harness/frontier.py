@@ -19,13 +19,13 @@ committed accuracy or cost point is a behaviour change, not noise.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis import ascii_scatter, pareto_frontier
 from repro.sampling import accuracy_error
 
+from .bench import Metric
 from .experiments import fetch_results, modeled_seconds_for
 
 SCHEMA_VERSION = 1
@@ -51,11 +51,8 @@ FRONTIER_POLICIES = (
     "rankedset-6",
 )
 
-DEFAULT_BASELINE = "benchmarks/BENCH_frontier.json"
-DEFAULT_TOLERANCE = 0.25
-
-#: absolute gates (ISSUE acceptance criteria): the sweep must keep
-#: covering the zoo, and accuracy may not silently drift
+#: absolute gates: the sweep must keep covering the zoo, and accuracy
+#: may not silently drift
 MIN_POLICIES = 6
 #: allowed absolute drift of a policy's mean error vs the committed
 #: baseline, in percentage points
@@ -108,11 +105,14 @@ def sweep_policies(policies: Optional[Sequence[str]] = None,
     return numbers
 
 
-def run_bench(benchmarks: Optional[List[str]] = None,
-              size: str = DEFAULT_SIZE,
-              policies: Optional[List[str]] = None) -> Dict:
-    """The full payload written to ``BENCH_frontier.json``."""
-    policies = list(policies or FRONTIER_POLICIES)
+def run(sizes: Sequence[str], benchmarks: Optional[List[str]] = None,
+        repeats: Optional[int] = None) -> Dict:
+    """The full payload written to ``BENCH_frontier.json``.
+
+    Every number is modeled, so ``repeats`` is unused.
+    """
+    (size,) = sizes
+    policies = list(FRONTIER_POLICIES)
     benchmarks = list(benchmarks or DEFAULT_BENCHMARKS)
     numbers = sweep_policies(policies, benchmarks, size=size)
     points = [(policy, numbers[policy]["error"] * 100,
@@ -136,48 +136,37 @@ def run_bench(benchmarks: Optional[List[str]] = None,
     }
 
 
-def compare_to_baseline(current: Dict, baseline: Dict,
-                        tolerance: float = DEFAULT_TOLERANCE
-                        ) -> List[str]:
-    """Gate failures of ``current`` (empty list = gate passes).
+def metrics(payload: Dict) -> Dict[str, Metric]:
+    """The gated and recorded numbers of one payload.
 
     * **absolute** — the sweep still covers at least ``MIN_POLICIES``
       policies;
     * **relative** — every baseline policy must still be present, its
-      suite speedup may not fall more than ``tolerance`` (fractional)
-      below the committed value, and its mean accuracy error may not
-      drift more than ``MAX_ERROR_DRIFT_PP`` percentage points in
-      either direction.  Both quantities are modeled (deterministic),
-      so failures are behaviour changes, never host noise.
+      suite speedup may not fall more than the tolerance below the
+      committed value, and its mean accuracy error may not drift more
+      than ``MAX_ERROR_DRIFT_PP`` percentage points in either
+      direction.  Both quantities are modeled (deterministic), so
+      failures are behaviour changes, never host noise.
+
+    Each policy's speedup is recorded in the perf-trajectory history;
+    its error is gated by the drift rule only.
     """
-    problems: List[str] = []
-    num_policies = current.get("summary", {}).get(
-        "num_policies", len(current.get("policies", {})))
-    if num_policies < MIN_POLICIES:
-        problems.append(f"frontier sweep covers {num_policies} "
-                        f"policies < required {MIN_POLICIES}")
-    current_policies = current.get("policies", {})
-    for policy in sorted(baseline.get("policies", {})):
-        base_cell = baseline["policies"][policy]
-        cell = current_policies.get(policy)
-        if cell is None:
-            problems.append(f"{policy}: missing from run")
-            continue
-        base_speedup = base_cell.get("speedup", 0.0)
-        speedup = cell.get("speedup", 0.0)
-        floor = base_speedup * (1.0 - tolerance)
-        if speedup < floor:
-            problems.append(
-                f"{policy}: speedup {speedup:.1f}x < {floor:.1f}x "
-                f"(baseline {base_speedup:.1f}x - {tolerance:.0%})")
-        base_error = base_cell.get("error", 0.0) * 100
-        error = cell.get("error", 0.0) * 100
-        if abs(error - base_error) > MAX_ERROR_DRIFT_PP:
-            problems.append(
-                f"{policy}: mean error {error:.2f}% drifted from "
-                f"baseline {base_error:.2f}% by more than "
-                f"{MAX_ERROR_DRIFT_PP:.1f}pp")
-    return problems
+    policies = payload.get("policies", {})
+    metrics = {"num_policies": Metric(
+        payload.get("summary", {}).get("num_policies", len(policies)),
+        "frontier sweep covers", floor=MIN_POLICIES, fmt="d",
+        unit=" policies")}
+    for policy in sorted(policies):
+        cell = policies[policy]
+        if "speedup" in cell:
+            metrics[f"{policy}.speedup"] = Metric(
+                cell["speedup"], f"{policy}: speedup", relative=True,
+                group=policy, history=True, fmt=".1f")
+        metrics[f"{policy}.error"] = Metric(
+            cell.get("error", 0.0) * 100, f"{policy}: mean error",
+            better="lower", drift=MAX_ERROR_DRIFT_PP, group=policy,
+            unit="%")
+    return metrics
 
 
 def format_table(payload: Dict) -> str:
@@ -216,23 +205,8 @@ def build_frontier(size: str = DEFAULT_SIZE,
                    benchmarks: Optional[Sequence[str]] = None
                    ):
     """``python -m repro figure frontier``: table + scatter + data."""
-    payload = run_bench(benchmarks=list(benchmarks or
-                                        DEFAULT_BENCHMARKS),
-                        size=size)
+    payload = run([size], list(benchmarks or DEFAULT_BENCHMARKS))
     points = [(policy, cell["error"] * 100, cell["speedup"])
               for policy, cell in payload["policies"].items()]
     text = format_table(payload) + "\n\n" + ascii_scatter(points) + "\n"
     return text, payload
-
-
-def load_baseline(path: str) -> Dict:
-    with open(path) as handle:
-        return json.load(handle)
-
-
-def write_baseline(payload: Dict, path: str) -> None:
-    # repro: store-ok committed CI baseline, single writer, no lock
-    with open(path, "w") as handle:
-        # repro: store-ok same committed baseline file as above
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")

@@ -30,6 +30,8 @@ import uuid
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from . import bench
+
 __all__ = [
     "DEFAULT_HISTORY", "DEFAULT_WINDOW", "DEFAULT_TOLERANCE",
     "SCHEMA_VERSION", "extract_metrics", "make_entry",
@@ -37,7 +39,7 @@ __all__ = [
     "format_history",
 ]
 
-DEFAULT_HISTORY = "benchmarks/HISTORY.jsonl"
+DEFAULT_HISTORY = str(bench.BENCH_DIR / "HISTORY.jsonl")
 DEFAULT_WINDOW = 5
 DEFAULT_TOLERANCE = 0.25
 SCHEMA_VERSION = 1
@@ -46,47 +48,17 @@ SCHEMA_VERSION = 1
 def extract_metrics(suite: str, payload: Dict) -> Dict[str, float]:
     """Ratio metrics from a bench payload, flat and deterministic.
 
-    ``hotpath`` and ``megablock`` payloads contribute per-size/
-    per-mode speedup geomeans plus each size's overall geomean
-    (fast/slow and mega/fused ratios respectively); ``checkpoint``
-    payloads
-    contribute the summary's ``*_speedup_geomean`` ratios and
-    ``delta_ratio_max``; ``frontier`` payloads contribute each
-    policy's suite speedup (the error gate lives in the frontier
-    baseline comparison, not here — drift in a *modeled* ratio is a
-    behaviour change either way).  Keys are prefixed with the suite
-    name so one history file can carry all suites.
+    The metrics the suite declares ``history`` (see
+    :mod:`repro.harness.bench`): speedup geomeans per size and mode
+    (``hotpath``, ``megablock``), the checkpoint summary ratios and
+    ``delta_ratio_max``, and each frontier policy's suite speedup.
+    Keys are prefixed with the suite name so one history file can
+    carry all suites.
     """
-    metrics: Dict[str, float] = {}
-    if suite in ("hotpath", "megablock"):
-        # same payload shape: per-size summaries of per-mode speedup
-        # geomeans (hotpath: fast/slow; megablock: mega/fused)
-        for size in sorted(payload.get("sizes", {})):
-            summary = payload["sizes"][size].get("summary", {})
-            for mode in sorted(summary):
-                value = summary[mode]
-                if isinstance(value, dict):
-                    geo = value.get("speedup_geomean")
-                    if isinstance(geo, (int, float)):
-                        metrics[f"{suite}.{size}.{mode}"
-                                ".speedup_geomean"] = float(geo)
-                elif mode == "overall_speedup_geomean":
-                    metrics[f"{suite}.{size}.overall_speedup_geomean"] \
-                        = float(value)
-    elif suite == "checkpoint":
-        summary = payload.get("summary", {})
-        for key in sorted(summary):
-            value = summary[key]
-            if not isinstance(value, (int, float)):
-                continue
-            if key.endswith("speedup_geomean") or key == "delta_ratio_max":
-                metrics[f"checkpoint.{key}"] = float(value)
-    elif suite == "frontier":
-        for policy in sorted(payload.get("policies", {})):
-            value = payload["policies"][policy].get("speedup")
-            if isinstance(value, (int, float)) and math.isfinite(value):
-                metrics[f"frontier.{policy}.speedup"] = float(value)
-    return metrics
+    metrics = bench.SUITES[suite].impl().metrics(payload)
+    return {f"{suite}.{name}": float(metric.value)
+            for name, metric in sorted(metrics.items())
+            if metric.history and math.isfinite(metric.value)}
 
 
 def make_entry(suite: str, payload: Dict,
@@ -146,10 +118,6 @@ def append_history(path: Union[str, Path], entry: Dict) -> int:
     return len(entries)
 
 
-def _lower_is_better(name: str) -> bool:
-    return name.endswith("delta_ratio_max")
-
-
 def detect_regressions(entries: List[Dict], suite: str,
                        window: int = DEFAULT_WINDOW,
                        tolerance: float = DEFAULT_TOLERANCE
@@ -158,11 +126,11 @@ def detect_regressions(entries: List[Dict], suite: str,
 
     For each metric present in the latest ``suite`` entry, compare
     against the median of up to ``window`` preceding entries that
-    carry the same metric.  Speedup ratios regress by falling more
-    than ``tolerance`` below the median; ``delta_ratio_max`` regresses
-    by rising above it.  Returns human-readable problem strings
-    (empty = trajectory healthy); fewer than two entries is vacuously
-    healthy.
+    carry the same metric.  A metric regresses by moving more than
+    ``tolerance`` past the median in its declared wrong direction
+    (speedups falling, ``delta_ratio_max`` rising).  Returns
+    human-readable problem strings (empty = trajectory healthy); fewer
+    than two entries is vacuously healthy.
     """
     relevant = [entry for entry in entries
                 if entry.get("suite") == suite and entry.get("metrics")]
@@ -170,6 +138,11 @@ def detect_regressions(entries: List[Dict], suite: str,
         return []
     latest = relevant[-1]
     prior = relevant[max(len(relevant) - 1 - window, 0):-1]
+    # every lower-is-better history metric is a payload-independent
+    # summary figure, so an empty payload's declarations name them all
+    lower = {f"{suite}.{name}" for name, metric
+             in bench.SUITES[suite].impl().metrics({}).items()
+             if metric.better == "lower"}
     problems: List[str] = []
     for name in sorted(latest["metrics"]):
         value = latest["metrics"][name]
@@ -183,17 +156,13 @@ def detect_regressions(entries: List[Dict], suite: str,
         ref = statistics.median(series)
         if ref <= 0:
             continue
-        if _lower_is_better(name):
-            if value > ref * (1.0 + tolerance):
-                problems.append(
-                    f"{name}: {value:.3f} vs rolling median {ref:.3f} "
-                    f"(> +{tolerance:.0%} over {len(series)} prior "
-                    "entries)")
-        elif value < ref * (1.0 - tolerance):
+        better = "lower" if name in lower else "higher"
+        if bench.regressed(value, ref, tolerance, better):
             problems.append(
-                f"{name}: {value:.3f}x vs rolling median {ref:.3f}x "
-                f"(> {tolerance:.0%} below, over {len(series)} prior "
-                "entries)")
+                f"{name}: {value:.3f} vs rolling median {ref:.3f} "
+                f"(more than {tolerance:.0%} "
+                f"{'above' if better == 'lower' else 'below'}, over "
+                f"{len(series)} prior entries)")
     return problems
 
 

@@ -2,7 +2,12 @@
 
 import pytest
 
+from repro.harness import bench
 from repro.harness import checkpointbench as cb
+
+
+def compare_to_baseline(current, baseline):
+    return bench.compare("checkpoint", current, baseline)
 
 
 def cell(speedup, delta_ratio=0.02):
@@ -30,7 +35,7 @@ def payload(ckpt_speedup, plain_speedup=2.0, delta_ratio=0.02,
             "speedup_geomean": ckpt_speedup,
             "simpoint_speedup_geomean": plain_speedup,
             "simpoint-ckpt_speedup_geomean": ckpt_speedup,
-            "overall_speedup_geomean": cb.geomean(
+            "overall_speedup_geomean": bench.geomean(
                 [ckpt_speedup, plain_speedup]),
             "delta_ratio_max": delta_ratio,
             "ipc_equal": True,
@@ -39,35 +44,35 @@ def payload(ckpt_speedup, plain_speedup=2.0, delta_ratio=0.02,
 
 
 def test_geomean():
-    assert cb.geomean([2.0, 8.0]) == pytest.approx(4.0)
-    assert cb.geomean([]) == 0.0
-    assert cb.geomean([0.0, 4.0]) == pytest.approx(4.0)
+    assert bench.geomean([2.0, 8.0]) == pytest.approx(4.0)
+    assert bench.geomean([]) == 0.0
+    assert bench.geomean([0.0, 4.0]) == pytest.approx(4.0)
 
 
 def test_gate_passes_within_tolerance():
     baseline = payload(4.0)
     current = payload(3.3)  # above floor, < 25% below baseline
-    assert cb.compare_to_baseline(current, baseline) == []
+    assert compare_to_baseline(current, baseline) == []
 
 
 def test_gate_enforces_absolute_speedup_floor():
     # even a brand-new (identical) baseline cannot excuse a geomean
     # below the acceptance floor
     current = payload(2.5)
-    problems = cb.compare_to_baseline(current, payload(2.5))
+    problems = compare_to_baseline(current, payload(2.5))
     assert any("3.0x" in problem for problem in problems)
 
 
 def test_gate_enforces_delta_ratio_ceiling():
     current = payload(4.0, delta_ratio=0.40)
-    problems = cb.compare_to_baseline(current, payload(4.0))
+    problems = compare_to_baseline(current, payload(4.0))
     assert any("delta" in problem for problem in problems)
 
 
 def test_gate_fails_on_relative_regression():
     baseline = payload(6.0)
     current = payload(4.0)  # 33% down, but above the absolute floor
-    problems = cb.compare_to_baseline(current, baseline)
+    problems = compare_to_baseline(current, baseline)
     assert problems
     assert any("mcf" in problem for problem in problems)
     assert any("overall" in problem for problem in problems)
@@ -77,21 +82,21 @@ def test_gate_flags_missing_benchmark():
     baseline = payload(4.0)
     current = payload(4.0)
     del current["benchmarks"]["swim"]
-    problems = cb.compare_to_baseline(current, baseline)
+    problems = compare_to_baseline(current, baseline)
     assert any("missing" in problem for problem in problems)
 
 
 def test_gate_fails_on_divergence():
     current = payload(4.0)
     current["summary"]["ipc_equal"] = False
-    problems = cb.compare_to_baseline(current, payload(4.0))
+    problems = compare_to_baseline(current, payload(4.0))
     assert any("diverged" in problem for problem in problems)
 
 
 def test_format_table_mentions_every_cell():
     text = cb.format_table(payload(4.0))
-    for bench in ("mcf", "swim"):
-        assert bench in text
+    for name in ("mcf", "swim"):
+        assert name in text
     for policy in ("simpoint", "simpoint-ckpt"):
         assert policy in text
     assert "geomean" in text
@@ -99,21 +104,8 @@ def test_format_table_mentions_every_cell():
 
 def test_baseline_roundtrip(tmp_path):
     path = tmp_path / "baseline.json"
-    cb.write_baseline(payload(4.0), str(path))
-    assert cb.load_baseline(str(path)) == payload(4.0)
-
-
-def test_committed_baseline_satisfies_its_own_gate():
-    """The checked-in BENCH_checkpoint.json must pass the absolute
-    acceptance criteria it gates CI with."""
-    import os
-    path = os.path.join(os.path.dirname(__file__), "..", "..",
-                        cb.DEFAULT_BASELINE)
-    baseline = cb.load_baseline(path)
-    assert cb.compare_to_baseline(baseline, baseline) == []
-    assert baseline["summary"]["speedup_geomean"] \
-        >= cb.MIN_SPEEDUP_GEOMEAN
-    assert baseline["summary"]["delta_ratio_max"] <= cb.MAX_DELTA_RATIO
+    bench.write_baseline(payload(4.0), str(path))
+    assert bench.load_baseline(str(path)) == payload(4.0)
 
 
 def test_measure_pair_end_to_end(tmp_path):

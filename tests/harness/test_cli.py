@@ -220,3 +220,42 @@ def test_bench_checkpoint_suite_unknown_baseline(tmp_path, capsys):
     assert code == 2
     out = capsys.readouterr().out
     assert "simpoint-ckpt" in out
+
+
+def test_bench_reads_committed_baseline_and_history_from_any_cwd(
+        tmp_path, monkeypatch, capsys):
+    # a tiny run whose overall geomean halved: the committed baseline
+    # and the committed trajectory must both flag it, even with the
+    # working directory outside the checkout
+    from repro.harness import bench, throughput
+    payload = bench.load_baseline(bench.SUITES["hotpath"].baseline)
+    payload["sizes"] = {"tiny": payload["sizes"]["tiny"]}
+    payload["sizes"]["tiny"]["summary"]["overall_speedup_geomean"] /= 2
+    monkeypatch.setattr(throughput.ThroughputSuite, "run",
+                        lambda self, sizes, **kwargs: payload)
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", "--size", "tiny", "--check"]) == 1
+    err = capsys.readouterr().err
+    assert "  tiny/overall: geomean speedup" in err
+    assert "trajectory hotpath.tiny.overall_speedup_geomean" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("suite", ["checkpoint", "frontier"])
+def test_bench_single_size_suite_rejects_size_list(suite, capsys):
+    assert main(["bench", "--suite", suite, "--size", "tiny,small"]) == 2
+    assert "measures one size" in capsys.readouterr().err
+
+
+def test_bench_repeats_reaches_hotpath(monkeypatch, capsys):
+    from repro.harness import throughput
+    seen = []
+
+    def fake_measure(bench, size, engine, mode, warm, measure, repeats):
+        seen.append(repeats)
+        return {"instructions": 1, "seconds": 1.0, "ips": 1.0}
+
+    monkeypatch.setattr(throughput, "measure_throughput", fake_measure)
+    assert main(["bench", "--size", "tiny", "--benchmarks", "gzip",
+                 "--repeats", "1"]) == 0
+    assert seen and set(seen) == {1}

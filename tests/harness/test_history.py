@@ -3,7 +3,9 @@ store, and the rolling-window regression detector."""
 
 import json
 
-from repro.harness import history
+import pytest
+
+from repro.harness import bench, history
 
 HOTPATH_PAYLOAD = {
     "schema_version": 1,
@@ -168,11 +170,55 @@ def test_format_history_tail():
 def test_committed_history_seed_is_loadable_and_healthy():
     """The repo ships a seeded benchmarks/HISTORY.jsonl so the CI
     trajectory gate has a reference curve from day one."""
-    from pathlib import Path
-    path = Path(__file__).resolve().parents[2] / history.DEFAULT_HISTORY
-    entries = history.load_history(path)
+    entries = history.load_history(history.DEFAULT_HISTORY)
     suites = {entry["suite"] for entry in entries}
     assert {"hotpath", "checkpoint"} <= suites
     for entry in entries:
         assert entry["metrics"], f"empty metrics in {entry}"
         assert not any("ips" in key for key in entry["metrics"])
+
+
+#: the history key -> value map each committed BENCH_<suite>.json
+#: yields; extraction must keep producing exactly these keys
+COMMITTED_METRICS = {
+    "hotpath": {
+        "hotpath.small.overall_speedup_geomean": 5.549584892011023,
+        "hotpath.small.timed.speedup_geomean": 3.8437896069004487,
+        "hotpath.small.warming.speedup_geomean": 8.012377269127317,
+        "hotpath.tiny.overall_speedup_geomean": 4.210924291542866,
+        "hotpath.tiny.timed.speedup_geomean": 3.178896357205067,
+        "hotpath.tiny.warming.speedup_geomean": 5.577999845423059,
+    },
+    "megablock": {
+        "megablock.small.overall_speedup_geomean": 1.3329414072586598,
+        "megablock.small.timed.speedup_geomean": 1.4229008277237658,
+        "megablock.small.warming.speedup_geomean": 1.248669450861843,
+    },
+    "checkpoint": {
+        "checkpoint.delta_ratio_max": 0.032898468519568916,
+        "checkpoint.overall_speedup_geomean": 2.736460477374207,
+        "checkpoint.simpoint-ckpt_speedup_geomean": 3.7030735555738725,
+        "checkpoint.simpoint_speedup_geomean": 2.022162355635577,
+        "checkpoint.speedup_geomean": 3.7030735555738725,
+    },
+    "frontier": {
+        "frontier.CPU-300-1M-inf.speedup": 9.757834643704019,
+        "frontier.EXC-300-1M-10.speedup": 8.677586904181654,
+        "frontier.rankedset-3.speedup": 1.4977318788648901,
+        "frontier.rankedset-6.speedup": 0.9980039920159681,
+        "frontier.simpoint+prof.speedup": 1.6299661526442408,
+        "frontier.simpoint-mav.speedup": 1.8648284791614527,
+        "frontier.simpoint.speedup": 1.9473829883724734,
+        "frontier.smarts.speedup": 4.387527703573865,
+        "frontier.stratified-12.speedup": 3.1501021760639545,
+        "frontier.stratified-24.speedup": 1.8293519443445416,
+        "frontier.stratified-6.speedup": 5.2765554927562395,
+    },
+}
+
+
+@pytest.mark.parametrize("suite", sorted(COMMITTED_METRICS))
+def test_extract_metrics_pins_committed_key_set(suite):
+    payload = bench.load_baseline(bench.SUITES[suite].baseline)
+    assert history.extract_metrics(suite, payload) \
+        == COMMITTED_METRICS[suite]

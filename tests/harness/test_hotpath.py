@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.harness import hotpath
+from repro.harness import bench, throughput
+from repro.harness.throughput import HOTPATH
+
+
+def compare_to_baseline(current, baseline):
+    return bench.compare("hotpath", current, baseline)
 
 
 def payload(speedup, overall=None):
@@ -12,17 +17,17 @@ def payload(speedup, overall=None):
                      "instructions": 1000},
             "speedup": speedup}
     return {
-        "schema_version": hotpath.SCHEMA_VERSION,
-        "modes": list(hotpath.MODES),
+        "schema_version": throughput.SCHEMA_VERSION,
+        "modes": list(throughput.MODES),
         "sizes": {"tiny": {
             "windows": {"warm": 10, "measure": 20},
             "benchmarks": {"gzip": {mode: dict(cell)
-                                    for mode in hotpath.MODES}},
+                                    for mode in throughput.MODES}},
             "summary": {
                 **{mode: {"fast_ips_geomean": 1000.0 * speedup,
                           "slow_ips_geomean": 1000.0,
                           "speedup_geomean": speedup}
-                   for mode in hotpath.MODES},
+                   for mode in throughput.MODES},
                 "overall_speedup_geomean": overall or speedup,
             },
         }},
@@ -30,21 +35,21 @@ def payload(speedup, overall=None):
 
 
 def test_geomean():
-    assert hotpath.geomean([2.0, 8.0]) == pytest.approx(4.0)
-    assert hotpath.geomean([]) == 0.0
-    assert hotpath.geomean([0.0, 4.0]) == pytest.approx(4.0)
+    assert bench.geomean([2.0, 8.0]) == pytest.approx(4.0)
+    assert bench.geomean([]) == 0.0
+    assert bench.geomean([0.0, 4.0]) == pytest.approx(4.0)
 
 
 def test_gate_passes_within_tolerance():
     baseline = payload(4.0)
     current = payload(3.2)  # 20% down, tolerance 25%
-    assert hotpath.compare_to_baseline(current, baseline) == []
+    assert compare_to_baseline(current, baseline) == []
 
 
 def test_gate_fails_on_cell_regression():
     baseline = payload(4.0)
     current = payload(2.5)  # 37.5% down
-    problems = hotpath.compare_to_baseline(current, baseline)
+    problems = compare_to_baseline(current, baseline)
     assert problems
     assert any("tiny/gzip" in problem for problem in problems)
     assert any("overall" in problem for problem in problems)
@@ -54,7 +59,7 @@ def test_gate_flags_missing_benchmark():
     baseline = payload(4.0)
     current = payload(4.0)
     del current["sizes"]["tiny"]["benchmarks"]["gzip"]
-    problems = hotpath.compare_to_baseline(current, baseline)
+    problems = compare_to_baseline(current, baseline)
     assert any("missing" in problem for problem in problems)
 
 
@@ -64,18 +69,18 @@ def test_gate_ignores_extra_sizes_in_current():
     baseline = payload(4.0)
     baseline["sizes"]["small"] = baseline["sizes"]["tiny"]
     current = payload(4.0)
-    assert hotpath.compare_to_baseline(current, baseline) == []
+    assert compare_to_baseline(current, baseline) == []
 
 
 def test_format_table_mentions_every_cell():
-    text = hotpath.format_table(payload(4.0))
+    text = HOTPATH.format_table(payload(4.0))
     assert "gzip" in text
-    for mode in hotpath.MODES:
+    for mode in throughput.MODES:
         assert mode in text
     assert "overall speedup geomean" in text
 
 
 def test_baseline_roundtrip(tmp_path):
     path = tmp_path / "baseline.json"
-    hotpath.write_baseline(payload(4.0), str(path))
-    assert hotpath.load_baseline(str(path)) == payload(4.0)
+    bench.write_baseline(payload(4.0), str(path))
+    assert bench.load_baseline(str(path)) == payload(4.0)
