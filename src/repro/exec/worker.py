@@ -10,11 +10,22 @@ when they actually run a job.
 
 from __future__ import annotations
 
+import os
+
 from repro.sampling import PolicyResult
 
 from .spec import JobSpec
 
 __all__ = ["execute_spec"]
+
+
+def checkpoints_enabled() -> bool:
+    """Whether checkpoint acceleration is on (``REPRO_CHECKPOINTS=0``
+    disables it; results are identical either way, only wall-clock
+    changes).  Read here only: with it off a job attaches no
+    checkpoint ladder, and every layer below runs unaccelerated."""
+    return os.environ.get("REPRO_CHECKPOINTS", "1").strip().lower() \
+        not in ("0", "false", "no", "off")
 
 
 def execute_spec(spec: JobSpec,
@@ -59,22 +70,20 @@ def execute_spec(spec: JobSpec,
         # Single-core jobs keep the exact historical kwargs (and thus
         # fingerprint); any SMP job — multi-core, or an inherently
         # parallel benchmark at any count — pins its count explicitly.
-        if spec.cores > 1 or getattr(workload, "parallel", False):
+        if workload.smp_cores(spec.cores):
             machine_kwargs["n_cores"] = spec.cores
         controller = make_controller(
             workload, timing_config=TimingConfig.small(),
             machine_kwargs=machine_kwargs, tracer=tracer)
-        if spec.checkpoint_root:
-            from repro.sampling.controller import checkpoints_enabled
-            if checkpoints_enabled():
-                from repro.exec.ckptstore import (CheckpointLadder,
-                                                  CheckpointStore,
-                                                  program_fingerprint)
-                from repro.exec.spec import config_fingerprint
-                controller.attach_checkpoints(CheckpointLadder(
-                    CheckpointStore(spec.checkpoint_root),
-                    program_fingerprint(workload),
-                    config_fingerprint(None, machine_kwargs)))
+        if spec.checkpoint_root and checkpoints_enabled():
+            from repro.exec.ckptstore import (CheckpointLadder,
+                                              CheckpointStore,
+                                              program_fingerprint)
+            from repro.exec.spec import config_fingerprint
+            controller.attach_checkpoints(CheckpointLadder(
+                CheckpointStore(spec.checkpoint_root),
+                program_fingerprint(workload),
+                config_fingerprint(None, machine_kwargs)))
         result = policy_factory(spec.policy)().run(controller)
     except BaseException:
         if heartbeat is not None:

@@ -11,10 +11,13 @@ Lays out the classic process image:
 
 from __future__ import annotations
 
+from typing import List
+
 from repro.isa import Program
 from repro.mem import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, PROT_RWX
 from repro.isa.registers import GP, S3, SP
 from repro.vm.machine import Machine
+from repro.vm.smp import SmpMachine
 
 from .syscalls import Kernel
 
@@ -27,40 +30,14 @@ DEFAULT_HEAP_SIZE = 0  # grows via brk
 GLOBALS_BASE = 0x3000_0000
 
 
-def load_program(machine: Machine, kernel: Kernel, program: Program,
+def load_program(machine, kernel: Kernel, program: Program,
                  stack_top: int = STACK_TOP,
                  stack_size: int = STACK_SIZE) -> None:
-    """Map and copy ``program``, set up heap/stack and entry state."""
-    highest = 0
-    for segment in program.segments:
-        first = segment.base >> PAGE_SHIFT
-        last = (segment.end - 1) >> PAGE_SHIFT if segment.data else first
-        for vpn in range(first, last + 1):
-            if machine.page_table.lookup(vpn) is None:
-                machine.page_table.map(vpn, machine.phys.alloc_frame(),
-                                       PROT_RWX)
-        machine.mmu.write_block(segment.base, bytes(segment.data))
-        highest = max(highest, segment.end)
+    """Map and copy ``program``, set up heap/stack and entry state.
 
-    heap_base = (highest + PAGE_MASK) & ~PAGE_MASK
-    kernel.set_heap(heap_base, DEFAULT_HEAP_SIZE)
-    kernel.add_region(stack_top - stack_size, stack_size)
-    kernel.add_region(GLOBALS_BASE, PAGE_SIZE)
-
-    state = machine.state
-    state.reset(pc=program.entry)
-    # Stack pointer starts 16-byte aligned just below the top page edge.
-    state.regs[SP] = (stack_top - 16) & ~0xF
-    machine.kernel = kernel
-
-
-def load_program_smp(machine, kernel: Kernel, program: Program,
-                     stack_top: int = STACK_TOP,
-                     stack_size: int = STACK_SIZE) -> None:
-    """Map ``program`` once into an SMP guest's shared address space
-    and start every hart at the entry point.
-
-    Boot convention (documented for workload authors):
+    ``machine`` is a plain :class:`Machine` or an
+    :class:`~repro.vm.smp.SmpMachine`, whose boot convention (for
+    workload authors) is:
 
     * all harts start at ``program.entry`` with ``gp`` (r13) holding
       the hart id and ``s3`` (r12) holding the total core count — the
@@ -71,7 +48,8 @@ def load_program_smp(machine, kernel: Kernel, program: Program,
     * segments, heap and the globals page are shared (mapped once in
       the shared page table).
     """
-    core0 = machine.cores[0]
+    smp = isinstance(machine, SmpMachine)
+    harts: List[Machine] = machine.cores if smp else [machine]
     highest = 0
     for segment in program.segments:
         first = segment.base >> PAGE_SHIFT
@@ -80,19 +58,26 @@ def load_program_smp(machine, kernel: Kernel, program: Program,
             if machine.page_table.lookup(vpn) is None:
                 machine.page_table.map(vpn, machine.phys.alloc_frame(),
                                        PROT_RWX)
-        core0.mmu.write_block(segment.base, bytes(segment.data))
+        harts[0].mmu.write_block(segment.base, bytes(segment.data))
         highest = max(highest, segment.end)
 
     heap_base = (highest + PAGE_MASK) & ~PAGE_MASK
     kernel.set_heap(heap_base, DEFAULT_HEAP_SIZE)
-    kernel.add_region(GLOBALS_BASE, PAGE_SIZE)
-
-    for index, core in enumerate(machine.cores):
+    # The region list is checkpointed kernel state: each machine kind
+    # keeps its order (a plain Machine lists its stack first).
+    if smp:
+        kernel.add_region(GLOBALS_BASE, PAGE_SIZE)
+    for index, hart in enumerate(harts):
         top = stack_top - index * (stack_size + PAGE_SIZE)
         kernel.add_region(top - stack_size, stack_size)
-        state = core.state
+        state = hart.state
         state.reset(pc=program.entry)
+        # Stack pointer starts 16-byte aligned just below the top page
+        # edge.
         state.regs[SP] = (top - 16) & ~0xF
-        state.regs[GP] = index
-        state.regs[S3] = machine.n_cores
+        if smp:
+            state.regs[GP] = index
+            state.regs[S3] = len(harts)
+    if not smp:
+        kernel.add_region(GLOBALS_BASE, PAGE_SIZE)
     machine.kernel = kernel

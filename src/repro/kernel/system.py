@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from repro.devices import (BlockDevice, Bus, ConsoleDevice, NicDevice,
                            TimerDevice)
@@ -23,7 +23,7 @@ from repro.mem import PAGE_SHIFT, PROT_DEVICE, PROT_RW
 from repro.vm.machine import Machine
 from repro.vm.smp import DEFAULT_QUANTUM, SmpMachine
 
-from .loader import load_program, load_program_smp
+from .loader import load_program
 from .syscalls import Kernel
 
 #: MMIO window bases (one page each)
@@ -35,9 +35,14 @@ NIC_BASE = 0xF000_3000
 
 @dataclass
 class System:
-    """A booted guest system with convenient device handles."""
+    """A booted guest system with convenient device handles.
 
-    machine: Machine
+    ``machine`` is a plain :class:`Machine` or, on a multi-core boot,
+    an :class:`~repro.vm.smp.SmpMachine` (its harts are
+    ``machine.cores``).
+    """
+
+    machine: Union[Machine, SmpMachine]
     kernel: Kernel
     console: ConsoleDevice
     disk: BlockDevice
@@ -64,18 +69,38 @@ def boot(program: Optional[Program] = None,
          code_cache_capacity: int = 512,
          code_cache_policy: str = "fifo",
          tlb_capacity: int = 256,
-         nic_peer=None) -> System:
-    """Create a machine with the standard device set and load a program."""
-    machine = Machine(phys_size=phys_size,
-                      code_cache_capacity=code_cache_capacity,
-                      code_cache_policy=code_cache_policy,
-                      tlb_capacity=tlb_capacity)
-    bus = Bus(stats=machine.stats)
+         nic_peer=None,
+         n_cores: Optional[int] = None,
+         smp_quantum: int = DEFAULT_QUANTUM) -> System:
+    """Create a machine with the standard device set and load a program.
+
+    ``n_cores`` boots an :class:`~repro.vm.smp.SmpMachine` of that many
+    harts (interleaved in ``smp_quantum``-instruction turns); the
+    default boots the plain one-hart :class:`Machine`.  Devices are
+    mapped once in the (shared) page table and reachable from every
+    hart; the timer interrupt targets hart 0, the conventional boot
+    hart.  See :func:`~repro.kernel.loader.load_program` for the
+    per-hart entry convention.
+    """
+    if n_cores is None:
+        machine = Machine(phys_size=phys_size,
+                          code_cache_capacity=code_cache_capacity,
+                          code_cache_policy=code_cache_policy,
+                          tlb_capacity=tlb_capacity)
+        boot_hart = machine
+    else:
+        machine = SmpMachine(n_cores=n_cores, phys_size=phys_size,
+                             code_cache_capacity=code_cache_capacity,
+                             code_cache_policy=code_cache_policy,
+                             tlb_capacity=tlb_capacity,
+                             quantum=smp_quantum)
+        boot_hart = machine.cores[0]
+    bus = Bus(stats=boot_hart.stats)
     machine.attach_bus(bus)
 
     console = ConsoleDevice()
     disk = BlockDevice()
-    timer = TimerDevice(machine)
+    timer = TimerDevice(boot_hart)
     nic = NicDevice(peer=nic_peer)
     for device, base in ((console, CONSOLE_BASE), (disk, BLOCK_BASE),
                          (timer, TIMER_BASE), (nic, NIC_BASE)):
@@ -89,54 +114,3 @@ def boot(program: Optional[Program] = None,
         load_program(machine, kernel, program)
     return System(machine=machine, kernel=kernel, console=console,
                   disk=disk, timer=timer, nic=nic)
-
-
-@dataclass
-class SmpSystem(System):
-    """A booted multi-core guest (``machine`` is an
-    :class:`~repro.vm.smp.SmpMachine`)."""
-
-    @property
-    def cores(self):
-        return self.machine.cores
-
-
-def boot_smp(program: Optional[Program] = None,
-             n_cores: int = 2,
-             phys_size: int = 64 * 1024 * 1024,
-             code_cache_capacity: int = 512,
-             code_cache_policy: str = "fifo",
-             tlb_capacity: int = 256,
-             nic_peer=None,
-             smp_quantum: int = DEFAULT_QUANTUM) -> SmpSystem:
-    """Boot an ``n_cores``-hart guest with the standard device set.
-
-    Devices are mapped once in the shared page table and reachable from
-    every hart; the timer interrupt targets core 0 (the conventional
-    boot hart).  See :func:`~repro.kernel.loader.load_program_smp` for
-    the per-hart entry convention.
-    """
-    machine = SmpMachine(n_cores=n_cores, phys_size=phys_size,
-                         code_cache_capacity=code_cache_capacity,
-                         code_cache_policy=code_cache_policy,
-                         tlb_capacity=tlb_capacity,
-                         quantum=smp_quantum)
-    bus = Bus(stats=machine.cores[0].stats)
-    machine.attach_bus(bus)
-
-    console = ConsoleDevice()
-    disk = BlockDevice()
-    timer = TimerDevice(machine.cores[0])
-    nic = NicDevice(peer=nic_peer)
-    for device, base in ((console, CONSOLE_BASE), (disk, BLOCK_BASE),
-                         (timer, TIMER_BASE), (nic, NIC_BASE)):
-        bus.attach(device, base)
-        machine.page_table.map(base >> PAGE_SHIFT, 0,
-                               PROT_RW | PROT_DEVICE)
-
-    kernel = Kernel(console=console, disk=disk, nic=nic, timer=timer)
-    machine.kernel = kernel
-    if program is not None:
-        load_program_smp(machine, kernel, program)
-    return SmpSystem(machine=machine, kernel=kernel, console=console,
-                     disk=disk, timer=timer, nic=nic)

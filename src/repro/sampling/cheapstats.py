@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.vm.stats import MONITORABLE
 
-from .controller import SimulationController, checkpoints_enabled
+from .controller import SimulationController
 
 
 @dataclass
@@ -81,9 +81,8 @@ def collect_cheap_stats(controller: SimulationController,
     if interval_length <= 0:
         raise ValueError("interval length must be positive")
     ladder = controller.checkpoints
-    use_store = ladder is not None and checkpoints_enabled()
     artifact = f"cheapstats-{interval_length}"
-    if use_store:
+    if ladder is not None:
         cached = ladder.load_artifact(artifact)
         if cached is not None:
             profile = CheapStatProfile(
@@ -122,7 +121,7 @@ def collect_cheap_stats(controller: SimulationController,
         replica.breakdown.fast_instructions
     controller.breakdown.wall_seconds["fast"] += \
         replica.breakdown.wall_seconds["fast"]
-    if use_store:
+    if ladder is not None:
         ladder.publish_artifact(artifact, {
             "starts": list(profile.starts),
             "executed": list(profile.executed),

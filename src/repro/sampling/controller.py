@@ -1,8 +1,9 @@
 """The simulation controller: couples the VM to the timing back-end.
 
 This is the paper's §3 infrastructure in one object: it owns a booted
-guest system and one out-of-order core, and exposes the mode-switching
-primitives that every sampling policy is written in terms of:
+guest system and one out-of-order core per hart, and exposes the
+mode-switching primitives that every sampling policy is written in
+terms of:
 
 * :meth:`run_fast`            — full-speed functional execution
 * :meth:`run_profile`         — full speed + BBV collection
@@ -26,7 +27,6 @@ installed the per-call cost is a single attribute test.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -38,15 +38,8 @@ from repro.timing import (FunctionalWarmingSink, OutOfOrderCore,
                           TimingConfig)
 from repro.timing.codegen import TimedBlockCodegen, WarmingBlockCodegen
 from repro.vm import MODE_EVENT, MODE_FAST, MODE_PROFILE
+from repro.vm.smp import SmpMachine
 from repro.workloads import Workload
-
-
-def checkpoints_enabled() -> bool:
-    """Whether checkpoint acceleration is on (``REPRO_CHECKPOINTS=0``
-    disables it; results are identical either way, only wall-clock
-    changes)."""
-    return os.environ.get("REPRO_CHECKPOINTS", "1").strip().lower() \
-        not in ("0", "false", "no", "off")
 
 
 @dataclass
@@ -69,9 +62,33 @@ class ModeBreakdown:
     def total_wall_seconds(self) -> float:
         return sum(self.wall_seconds.values())
 
+    def charge(self, mode: str, instructions: int,
+               seconds: float) -> None:
+        """Add one stretch of ``mode`` to the breakdown."""
+        name = f"{mode}_instructions"
+        setattr(self, name, getattr(self, name) + instructions)
+        self.wall_seconds[mode] += seconds
+
 
 class SimulationController:
-    """One benchmark run: a guest system plus a timing core."""
+    """One benchmark run: a guest system plus one timing core per hart.
+
+    A plain :class:`~repro.vm.machine.Machine` is the one-hart guest; an
+    :class:`~repro.vm.smp.SmpMachine` (booted when the workload is
+    parallel or the machine kwargs ask for ``n_cores > 1``) has one
+    :class:`~repro.vm.machine.Machine` per hart.  Every hart gets its
+    own detailed out-of-order core and functional-warming sink, each
+    consuming exactly its hart's instruction stream, while all
+    controller-level accounting — intervals, fast-forward targets, the
+    cost model — stays in *total* instructions across harts, so every
+    sampling policy runs unchanged on either guest.
+
+    Timing aggregation follows the chip-throughput convention: a timed
+    interval reports the total instructions retired across harts and
+    the *maximum* per-hart cycle delta (harts run concurrently in
+    simulated time), so IPC is chip IPC.  With one hart both reduce to
+    the single core's numbers.
+    """
 
     def __init__(self, workload: Workload,
                  timing_config: Optional[TimingConfig] = None,
@@ -82,8 +99,26 @@ class SimulationController:
         self.machine_kwargs = dict(machine_kwargs or {})
         self.system: System = workload.boot(**self.machine_kwargs)
         self.machine = self.system.machine
+        #: True on an SmpMachine guest: event sinks go to the
+        #: interleaver one per hart, and trace records name their hart
+        self.smp = isinstance(self.machine, SmpMachine)
+        #: the per-hart machines (the machine itself on a one-hart guest)
+        self.harts = tuple(self.machine.cores) if self.smp \
+            else (self.machine,)
+        self.n_cores = len(self.harts)
         self.timing_config = timing_config or TimingConfig.small()
-        self._init_timing()
+        self.timing_cores = tuple(OutOfOrderCore(self.timing_config)
+                                  for _ in self.harts)
+        self.warming_sinks = tuple(FunctionalWarmingSink(core)
+                                   for core in self.timing_cores)
+        if self.timing_config.fast_path:
+            # Fused fast path: event-mode intervals dispatch superblocks
+            # with the timing updates compiled in.  Bit-identical to the
+            # per-instruction sink path (REPRO_SLOW_PATH=1 restores it).
+            for hart, core, sink in zip(self.harts, self.timing_cores,
+                                        self.warming_sinks):
+                hart.register_fast_sink(core, TimedBlockCodegen(core))
+                hart.register_fast_sink(sink, WarmingBlockCodegen(sink))
         self.feedback = feedback
         self.breakdown = ModeBreakdown()
         #: checkpoint ladder (repro.exec.ckptstore.CheckpointLadder)
@@ -122,68 +157,76 @@ class SimulationController:
             mode: registry.gauge(f"controller.throughput.{mode}")
             for mode in ("fast", "profile", "warming", "timed")}
 
-    def _init_timing(self) -> None:
-        """Create the timing core(s) and bind their fused codegens.
-
-        The SMP controller overrides this to build one detailed core +
-        warming sink per hart; the contract is that afterwards
-        :attr:`core`/:attr:`warming_sink` reference core 0's pair and
-        :attr:`timing_cores`/:attr:`warming_sinks` hold all of them.
-        """
-        self.core = OutOfOrderCore(self.timing_config)
-        self.warming_sink = FunctionalWarmingSink(self.core)
-        self.timing_cores = (self.core,)
-        self.warming_sinks = (self.warming_sink,)
-        if self.core.config.fast_path:
-            # Fused fast path: event-mode intervals dispatch superblocks
-            # with the timing updates compiled in.  Bit-identical to the
-            # per-instruction sink path (REPRO_SLOW_PATH=1 restores it).
-            self.machine.register_fast_sink(
-                self.core, TimedBlockCodegen(self.core))
-            self.machine.register_fast_sink(
-                self.warming_sink, WarmingBlockCodegen(self.warming_sink))
-
     # ------------------------------------------------------------------
-    # state
+    # state (total-instruction units; per-hart views)
 
-    #: number of guest harts (the SMP controller overrides this)
-    n_cores = 1
+    @property
+    def core(self):
+        """Hart 0's timing core; assigning plugs in any conforming
+        core (its warming sink is :attr:`warming_sink`)."""
+        return self.timing_cores[0]
+
+    @core.setter
+    def core(self, core) -> None:
+        self.timing_cores = (core,) + self.timing_cores[1:]
+
+    @property
+    def warming_sink(self):
+        """Hart 0's functional-warming sink (assignable, like
+        :attr:`core`)."""
+        return self.warming_sinks[0]
+
+    @warming_sink.setter
+    def warming_sink(self, sink) -> None:
+        self.warming_sinks = (sink,) + self.warming_sinks[1:]
 
     @property
     def finished(self) -> bool:
-        return self.machine.state.halted
+        return all(hart.state.halted for hart in self.harts)
 
     @property
     def icount(self) -> int:
-        """Guest instructions retired so far (all modes)."""
-        return self.machine.state.icount
+        """Guest instructions retired so far, all modes and harts."""
+        return sum(hart.state.icount for hart in self.harts)
 
     def read_stat(self, name: str) -> int:
-        """Read one of the monitorable VM statistics (CPU/EXC/IO)."""
-        return self.machine.stats.monitored(name)
+        """Read one of the monitorable VM statistics (CPU/EXC/IO),
+        summed across harts."""
+        return sum(hart.stats.monitored(name) for hart in self.harts)
 
     def read_core_stat(self, core: int, name: str) -> int:
-        """Per-core view of :meth:`read_stat` (core 0 == the machine
-        on a single-core guest)."""
-        if core != 0:
-            raise IndexError(f"single-core guest has no core {core}")
-        return self.machine.stats.monitored(name)
+        """Per-hart view of :meth:`read_stat`."""
+        return self.harts[core].stats.monitored(name)
 
     def vm_stats_snapshot(self) -> Dict:
-        """The vmstats dict recorded in results and trace events (the
-        SMP controller aggregates across harts here)."""
-        return self.machine.stats.snapshot()
+        """The vmstats dict recorded in results and trace events:
+        counters summed across harts, exception kinds merged by name
+        (per-hart views live in :meth:`per_core_vm_stats`)."""
+        per_core = self.per_core_vm_stats()
+        aggregate: Dict = {}
+        for key in per_core[0]:
+            if key == "exception_kinds":
+                merged: Dict[str, int] = {}
+                for snap in per_core:
+                    for kind, count in snap[key].items():
+                        merged[kind] = merged.get(kind, 0) + count
+                aggregate[key] = merged
+            else:
+                aggregate[key] = sum(snap[key] for snap in per_core)
+        return aggregate
 
     def per_core_vm_stats(self) -> list:
-        """Per-core vmstats snapshots, in core order."""
-        return [self.machine.stats.snapshot()]
+        """Per-hart vmstats snapshots, in hart order."""
+        return [hart.stats.snapshot() for hart in self.harts]
 
     # ------------------------------------------------------------------
     # instrumentation (repro.obs)
 
     def _account(self, mode: str, executed: int, elapsed: float,
                  icount_start: int) -> None:
-        """Metrics + trace events shared by every mode primitive."""
+        """Breakdown, metrics and trace events shared by every mode
+        primitive."""
+        self.breakdown.charge(mode, executed, elapsed)
         self._m_instructions[mode].add(executed)
         self._m_wall[mode].add(elapsed)
         if elapsed > 0:
@@ -199,6 +242,25 @@ class SimulationController:
                        icount_start=icount_start)
             trace.emit(obs.EV_VMSTATS, icount=self.icount,
                        **self.vm_stats_snapshot())
+
+    def _run(self, mode: str, instructions: int, vm_mode: str,
+             sinks: Optional[tuple] = None) -> int:
+        """Run one stretch of a mode primitive, timed and accounted.
+
+        ``sinks`` (event mode) holds one sink per hart; the interleaver
+        routes each to its hart, a plain machine takes its one sink.
+        """
+        if mode != "fast":
+            self._pristine_fast = False
+        if sinks is not None and not self.smp:
+            sinks = sinks[0]
+        icount_start = self.icount
+        start = time.perf_counter()  # repro: volatile wall-clock telemetry only
+        executed = self.machine.run(instructions, mode=vm_mode,
+                                    sink=sinks)
+        elapsed = time.perf_counter() - start  # repro: volatile wall-clock telemetry only
+        self._account(mode, executed, elapsed, icount_start)
+        return executed
 
     # ------------------------------------------------------------------
     # checkpoint acceleration
@@ -223,18 +285,18 @@ class SimulationController:
         many iterations per dispatch, so stopping at an icount the
         original run did not stop at would split dispatches and
         diverge the VM statistics.  Falls back to plain ``run_fast``
-        when acceleration is unavailable: no ladder,
-        ``REPRO_CHECKPOINTS=0``, timing feedback (virtual time would
-        diverge from the recorded image), or the run is no longer
-        pristine fast-mode (a restore cannot splice mid-run timing
-        state).  Returns instructions advanced (restored + executed).
+        when acceleration is unavailable: no ladder (the exec worker
+        attaches none under ``REPRO_CHECKPOINTS=0``), timing feedback
+        (virtual time would diverge from the recorded image), or the
+        run is no longer pristine fast-mode (a restore cannot splice
+        mid-run timing state).  Returns instructions advanced
+        (restored + executed).
         """
         remaining = to_icount - self.icount
         if remaining <= 0 or self.finished:
             return 0
         ladder = self.checkpoints
-        if (ladder is None or not checkpoints_enabled()
-                or self.feedback or not self._pristine_fast):
+        if ladder is None or self.feedback or not self._pristine_fast:
             return self.run_fast(remaining)
         from repro.exec.ckptstore import rung_key  # lazy: import cycle
         self._ff_history.append(to_icount)
@@ -246,8 +308,6 @@ class SimulationController:
             _ckpt_restore(self.system, loaded)
             skipped = self.icount - icount_start
             elapsed = time.perf_counter() - start  # repro: volatile wall-clock telemetry only
-            self.breakdown.wall_seconds["fast"] += elapsed
-            self.breakdown.fast_instructions += skipped
             self._ladder_parent = loaded
             self.checkpoint_stats["restores"] += 1
             self.checkpoint_stats["skipped_instructions"] += skipped
@@ -270,77 +330,62 @@ class SimulationController:
     # execution primitives
 
     def run_fast(self, instructions: int) -> int:
-        icount_start = self.icount
-        start = time.perf_counter()  # repro: volatile wall-clock telemetry only
-        executed = self.machine.run(instructions, mode=MODE_FAST)
-        elapsed = time.perf_counter() - start  # repro: volatile wall-clock telemetry only
-        self.breakdown.wall_seconds["fast"] += elapsed
-        self.breakdown.fast_instructions += executed
-        self._account("fast", executed, elapsed, icount_start)
-        return executed
+        return self._run("fast", instructions, MODE_FAST)
 
     def run_profile(self, instructions: int) -> int:
-        self._pristine_fast = False
-        icount_start = self.icount
-        start = time.perf_counter()  # repro: volatile wall-clock telemetry only
-        executed = self.machine.run(instructions, mode=MODE_PROFILE)
-        elapsed = time.perf_counter() - start  # repro: volatile wall-clock telemetry only
-        self.breakdown.wall_seconds["profile"] += elapsed
-        self.breakdown.profile_instructions += executed
-        self._account("profile", executed, elapsed, icount_start)
-        return executed
+        return self._run("profile", instructions, MODE_PROFILE)
 
     def take_profile(self) -> Dict[int, int]:
-        """Return and reset the per-block BBV counts."""
-        counts = dict(self.machine.profile_counts)
-        self.machine.profile_counts.clear()
-        return counts
+        """Return and reset the per-block BBV counts, merged across
+        harts (the BBV describes what the chip executed)."""
+        merged: Dict[int, int] = {}
+        for hart in self.harts:
+            for pc, count in hart.profile_counts.items():
+                merged[pc] = merged.get(pc, 0) + count
+            hart.profile_counts.clear()
+        return merged
 
     def run_warming(self, instructions: int) -> int:
         if instructions <= 0:
             return 0
-        self._pristine_fast = False
-        icount_start = self.icount
-        start = time.perf_counter()  # repro: volatile wall-clock telemetry only
-        executed = self.machine.run(instructions, mode=MODE_EVENT,
-                                    sink=self.warming_sink)
-        elapsed = time.perf_counter() - start  # repro: volatile wall-clock telemetry only
-        self.breakdown.wall_seconds["warming"] += elapsed
-        self.breakdown.warming_instructions += executed
-        self._account("warming", executed, elapsed, icount_start)
-        return executed
+        return self._run("warming", instructions, MODE_EVENT,
+                         self.warming_sinks)
 
     def run_timed(self, instructions: int,
                   measure: bool = True) -> tuple:
         """Run one detailed interval; returns (instructions, cycles).
 
-        With ``measure=False`` the pipeline still executes (detailed
-        warming, as in SMARTS) but the caller is expected to discard the
-        numbers.
+        On several harts the interval is gang-scheduled and reports the
+        total instructions over the maximum per-hart cycle delta.  The
+        ``warmstate`` trace record comes once per hart; on an SMP guest
+        each is tagged with its ``core``.  With ``measure=False`` the
+        pipeline still executes (detailed warming, as in SMARTS) but
+        the caller is expected to discard the numbers.
         """
         if instructions <= 0:
             return (0, 0)
-        self._pristine_fast = False
-        icount_start = self.icount
-        start = time.perf_counter()  # repro: volatile wall-clock telemetry only
-        checkpoint = self.core.checkpoint()
-        executed = self.machine.run(instructions, mode=MODE_EVENT,
-                                    sink=self.core)
-        elapsed = time.perf_counter() - start  # repro: volatile wall-clock telemetry only
-        self.breakdown.wall_seconds["timed"] += elapsed
-        self.breakdown.timed_instructions += executed
-        cycles = self.core.last_retire_cycle - checkpoint[1]
-        self._account("timed", executed, elapsed, icount_start)
+        cores = self.timing_cores
+        marks = [core.checkpoint() for core in cores]
+        executed = self._run("timed", instructions, MODE_EVENT, cores)
+        per_core_cycles = [core.last_retire_cycle - mark[1]
+                           for core, mark in zip(cores, marks)]
+        cycles = max(per_core_cycles)
         trace = self._trace
         if trace is not None:
-            branch = self.core.branch
-            trace.emit(obs.EV_WARMSTATE, icount=self.icount,
-                       cycles=cycles, instructions=executed,
-                       ipc=(executed / cycles if cycles else 0.0),
-                       branches=branch.branches,
-                       mispredicts=branch.mispredicts,
-                       btb_misses=branch.btb_misses,
-                       **self.core.hierarchy.stats())
+            for index, core in enumerate(cores):
+                tags = ({"core": index, "cores": self.n_cores}
+                        if self.smp else {})
+                retired = core.retired - marks[index][0]
+                core_cycles = per_core_cycles[index]
+                branch = core.branch
+                trace.emit(obs.EV_WARMSTATE, icount=self.icount, **tags,
+                           cycles=core_cycles, instructions=retired,
+                           ipc=(retired / core_cycles
+                                if core_cycles else 0.0),
+                           branches=branch.branches,
+                           mispredicts=branch.mispredicts,
+                           btb_misses=branch.btb_misses,
+                           **core.hierarchy.stats())
         if self.feedback and measure and executed:
             ipc = executed / cycles if cycles else 1.0
             self.advance_virtual_time(executed / max(ipc, 1e-9))
@@ -350,10 +395,11 @@ class SimulationController:
     # timing feedback (paper §3.1; disabled for the paper's experiments)
 
     def advance_virtual_time(self, cycles: float) -> None:
-        """Push estimated cycles into the guest-visible clock."""
+        """Push estimated cycles into every hart's guest-visible clock."""
         self.virtual_cycles += cycles
         now = int(self.virtual_cycles)
-        self.machine.state.cycles = now
+        for hart in self.harts:
+            hart.state.cycles = now
         if self.system.timer is not None:
             self.system.timer.advance(now)
 

@@ -13,7 +13,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..controller import SimulationController, checkpoints_enabled
+from ..controller import SimulationController
 
 
 class BbvCollector:
@@ -74,9 +74,8 @@ def profile_bbv(controller: SimulationController,
     near-zero wall-clock — the cost model sees the same run either way.
     """
     ladder = controller.checkpoints
-    use_store = ladder is not None and checkpoints_enabled()
     collector = BbvCollector(interval_length)
-    if use_store:
+    if ladder is not None:
         cached = ladder.load_profile(interval_length)
         if cached is not None:
             collector.vectors = [
@@ -97,7 +96,7 @@ def profile_bbv(controller: SimulationController,
         profiler.breakdown.profile_instructions
     controller.breakdown.wall_seconds["profile"] += \
         profiler.breakdown.wall_seconds["profile"]
-    if use_store:
+    if ladder is not None:
         ladder.publish_profile(interval_length, {
             "vectors": [{str(pc): count for pc, count in vector.items()}
                         for vector in collector.vectors],

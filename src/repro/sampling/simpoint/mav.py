@@ -30,7 +30,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..controller import SimulationController, checkpoints_enabled
+from ..controller import SimulationController
 from .bbv import BbvCollector
 
 #: stride histogram buckets: 0 = same page, k = bit_length(|delta|)
@@ -159,11 +159,10 @@ def profile_bbv_mav(controller: SimulationController,
     if interval_length <= 0:
         raise ValueError("interval length must be positive")
     ladder = controller.checkpoints
-    use_store = ladder is not None and checkpoints_enabled()
     artifact = f"mavprofile-{interval_length}"
     collector = BbvCollector(interval_length)
     mav = MavCollector()
-    if use_store:
+    if ladder is not None:
         cached = ladder.load_artifact(artifact)
         if cached is not None:
             collector.vectors = [
@@ -204,7 +203,7 @@ def profile_bbv_mav(controller: SimulationController,
         replica.breakdown.profile_instructions
     controller.breakdown.wall_seconds["profile"] += \
         replica.breakdown.wall_seconds["profile"]
-    if use_store:
+    if ladder is not None:
         ladder.publish_artifact(artifact, {
             "vectors": [{str(pc): count for pc, count in vector.items()}
                         for vector in collector.vectors],

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from ..base import Sampler
-from ..controller import SimulationController, checkpoints_enabled
+from ..controller import SimulationController
 from ..estimators import WeightedClusterEstimator
 from .bbv import profile_bbv
 from .kmeans import choose_clustering, random_projection
@@ -103,13 +103,12 @@ def select_simpoints_cached(controller: SimulationController,
     selections must never mix.
     """
     ladder = controller.checkpoints
-    use_store = ladder is not None and checkpoints_enabled()
     name = (f"selection-{config.interval_length}-{config.max_clusters}"
             f"-{config.projection_dims}-{config.bic_threshold}"
             f"-{config.seed}")
     if config.mav:
         name += f"-mav{config.mav_weight}"
-    if use_store:
+    if ladder is not None:
         cached = ladder.load_artifact(name)
         if cached is not None:
             return SimPointSelection(
@@ -118,7 +117,7 @@ def select_simpoints_cached(controller: SimulationController,
                 num_intervals=cached["num_intervals"],
                 num_clusters=cached["num_clusters"])
     selection = select_simpoints(matrix_source(), config)
-    if use_store:
+    if ladder is not None:
         ladder.publish_artifact(name, {
             "points": [[index, weight]
                        for index, weight in selection.points],

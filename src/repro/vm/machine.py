@@ -313,7 +313,7 @@ class Machine:
         state = self.state
         stats = self.stats
         if mode == MODE_INTERP:
-            total = self._run_exact_tail(max_instructions, sink)
+            total = self._run_interp(max_instructions, sink)
             stats.instructions_interp += total
             return total
         event = mode == MODE_EVENT
@@ -336,8 +336,8 @@ class Machine:
                 # fast path is validated against.  Dispatch boundaries,
                 # icount, vmstats and the sink event stream are
                 # bit-identical to the translated paths by construction.
-                total = self._run_event_interp(max_instructions, sink,
-                                               exact)
+                total = self._run_interp(max_instructions, sink, exact,
+                                         dispatches=True)
                 stats.instructions_event += total
                 return total
             else:
@@ -422,7 +422,7 @@ class Machine:
                             link_prev = -1
                 if exact and entry.length > remaining:
                     # The tail interpreter maintains icount itself.
-                    executed = self._run_exact_tail(
+                    executed = self._run_interp(
                         remaining, sink if event else None)
                 else:
                     executed = entry.fn(state, remaining)
@@ -525,124 +525,47 @@ class Machine:
                                                "handle_interrupt"):
             self.kernel.handle_interrupt(self, irq)
 
-    def _run_event_interp(self, count: int, sink, exact: bool) -> int:
-        """Event mode on the per-instruction interpreter (the oracle).
+    def _run_interp(self, count: int, sink, exact: bool = True,
+                    dispatches: bool = False) -> int:
+        """Run ``count`` instructions on the interpreter (fault-safe).
 
-        This is what ``REPRO_SLOW_PATH=1`` selects: every retired
-        instruction goes through :meth:`Interpreter._exec` and one
-        ``sink.on_inst`` call — the reference semantics the fused fast
-        path must reproduce bit-for-bit.  The loop mirrors the
-        translated dispatch loop's observable accounting exactly:
+        Dispatches interpreter superblocks (straight-line decoded runs)
+        as units; the interpreter updates ``state.icount`` per retired
+        instruction so guest reads of the counter stay exact
+        mid-stretch, and reports partial progress of faulted runs via
+        ``consume_progress``.  Faults go through :meth:`_deliver_fault`.
+        With ``exact`` the last run is clamped to the budget; without
+        it runs complete (the translated paths' overshoot rule).
 
-        * interrupts are delivered at run (block) boundaries;
-        * ``block_dispatches`` counts one per completed run, but not
-          runs that fault, nor — under ``exact`` — the clamped tail run
-          (the translated path hands that tail to the interpreter
-          without counting a dispatch);
-        * ``state.icount`` is maintained by the interpreter itself;
-        * fault delivery performs the same kernel upcalls and
-          ``count_exception`` bumps as :meth:`_deliver_fault`.
+        ``dispatches`` makes the loop account like the translated
+        dispatch loop, which is what event mode under
+        ``REPRO_SLOW_PATH=1`` (the oracle the fused fast path must
+        reproduce bit-for-bit) needs: interrupts are delivered at run
+        boundaries, and ``block_dispatches`` counts one per completed
+        run — not runs that fault, nor, under ``exact``, the clamped
+        tail run (the translated path hands that tail to the
+        interpreter without counting a dispatch).  The exact tail of a
+        translated run is a plain stretch and accounts neither.
         """
         executed = 0
         state = self.state
         stats = self.stats
         interp = self.interpreter
         while executed < count and not state.halted:
-            if self._pending_irqs:
+            if dispatches and self._pending_irqs:
                 self._deliver_interrupt()
                 if state.halted:
                     break
             remaining = count - executed
             try:
-                ran = interp.step_run(sink,
-                                      remaining if exact else (1 << 30))
-                if not exact or interp._last_run_len <= remaining:
+                executed += interp.step_run(
+                    sink, remaining if exact else (1 << 30))
+                if dispatches and (not exact
+                                   or interp._last_run_len <= remaining):
                     stats.block_dispatches += 1
-                executed += ran
-            except SyscallTrap as trap:
+            except GuestFault as fault:
                 executed += interp.consume_progress()
-                stats.count_exception("syscall")
-                if self.kernel is None:
-                    raise MachineError("ecall with no kernel") from trap
-                self.kernel.handle_syscall(self)
-                if not state.halted:
-                    state.pc = trap.pc + 4
-                executed += 1
-                state.icount += 1
-            except BreakpointTrap:
-                executed += interp.consume_progress()
-                stats.count_exception("breakpoint")
-                if self.kernel is not None and hasattr(
-                        self.kernel, "handle_breakpoint"):
-                    self.kernel.handle_breakpoint(self)
-                else:
-                    state.halted = True
-                executed += 1
-                state.icount += 1
-            except PageFault as fault:
-                executed += interp.consume_progress()
-                stats.count_exception("page_fault")
-                if not (self.kernel is not None
-                        and self.kernel.handle_page_fault(self, fault)):
-                    raise MachineError(str(fault)) from fault
-            except AlignmentFault as fault:
-                executed += interp.consume_progress()
-                stats.count_exception("alignment_fault")
-                raise MachineError(str(fault)) from fault
-            except IllegalInstruction as fault:
-                executed += interp.consume_progress()
-                stats.count_exception("illegal_instruction")
-                raise MachineError(str(fault)) from fault
-        return executed
-
-    def _run_exact_tail(self, count: int, sink) -> int:
-        """Interpret exactly ``count`` instructions (fault-safe).
-
-        Dispatches interpreter superblocks (straight-line decoded runs)
-        as units instead of stepping instruction-by-instruction; the
-        interpreter updates ``state.icount`` per retired instruction so
-        guest reads of the counter stay exact mid-stretch, and reports
-        partial progress of faulted runs via ``consume_progress``.
-        """
-        executed = 0
-        state = self.state
-        stats = self.stats
-        interp = self.interpreter
-        while executed < count and not state.halted:
-            try:
-                executed += interp.step_run(sink, count - executed)
-            except SyscallTrap as trap:
-                executed += interp.consume_progress()
-                stats.count_exception("syscall")
-                if self.kernel is None:
-                    raise MachineError("ecall with no kernel") from trap
-                self.kernel.handle_syscall(self)
-                if not state.halted:
-                    state.pc = trap.pc + 4
-                executed += 1
-                state.icount += 1
-            except BreakpointTrap:
-                executed += interp.consume_progress()
-                stats.count_exception("breakpoint")
-                if self.kernel is not None and hasattr(
-                        self.kernel, "handle_breakpoint"):
-                    self.kernel.handle_breakpoint(self)
-                else:
-                    state.halted = True
-                executed += 1
-                state.icount += 1
-            except PageFault as fault:
-                executed += interp.consume_progress()
-                stats.count_exception("page_fault")
-                if not (self.kernel is not None
-                        and self.kernel.handle_page_fault(self, fault)):
-                    raise MachineError(str(fault)) from fault
-            except AlignmentFault as fault:
-                executed += interp.consume_progress()
-                stats.count_exception("alignment_fault")
-                raise MachineError(str(fault)) from fault
-            except IllegalInstruction as fault:
-                executed += interp.consume_progress()
-                stats.count_exception("illegal_instruction")
-                raise MachineError(str(fault)) from fault
+                extra = self._deliver_fault(fault, None)
+                state.icount += extra
+                executed += extra
         return executed

@@ -43,7 +43,7 @@ Cross-core coupling
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import List, Sequence, Set
 
 from repro.mem import PageTable, PhysicalMemory
 
@@ -62,10 +62,10 @@ DEFAULT_QUANTUM = 100
 class SmpMachine:
     """N-hart guest over one shared physical memory.
 
-    Exposes the same execution surface as :class:`Machine` (``run``,
-    ``run_to_completion``, ``state``, ``kernel`` …) so the controller
-    and kernel layers work against either, plus per-core access via
-    :attr:`cores`.
+    Exposes the execution surface the kernel layer drives on a
+    :class:`Machine` (``run``, ``run_to_completion``, ``state``,
+    ``kernel`` …); the sampling controller works on the per-core
+    machines in :attr:`cores`.
     """
 
     def __init__(self, n_cores: int = 2,
@@ -143,12 +143,6 @@ class SmpMachine:
     @property
     def halted(self) -> bool:
         return all(core.state.halted for core in self.cores)
-
-    @property
-    def total_icount(self) -> int:
-        """Guest instructions retired across all cores (the unit every
-        sampling interval and fast-forward target is expressed in)."""
-        return sum(core.state.icount for core in self.cores)
 
     # ------------------------------------------------------------------
     # maintenance fan-out (checkpoint restore, unmap)
@@ -250,20 +244,3 @@ class SmpMachine:
                 break
             total += executed
         return total
-
-    # ------------------------------------------------------------------
-    # profiling
-
-    def take_profile_counts(self) -> Dict[int, int]:
-        """Merge and reset per-core BBV profile counts.
-
-        Cores executing the same block both contribute to its count —
-        the BBV describes what the *chip* executed, which is what
-        SimPoint clusters over.
-        """
-        merged: Dict[int, int] = {}
-        for core in self.cores:
-            for pc, count in core.profile_counts.items():
-                merged[pc] = merged.get(pc, 0) + count
-            core.profile_counts.clear()
-        return merged

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.isa import Program, assemble
-from repro.kernel import System, boot, boot_smp
+from repro.kernel import System, boot
 
 from .kernels import KERNELS, SLOTTED_KERNELS
 
@@ -64,20 +64,26 @@ class Workload:
     def estimated_instructions(self) -> int:
         return sum(phase.estimated_instructions for phase in self.phases)
 
+    def smp_cores(self, n_cores: int = 0) -> int:
+        """Hart count of this workload's SMP boot, 0 for a plain one.
+
+        An explicit ``n_cores > 1`` or a parallel workload (at its own
+        :attr:`n_cores` unless one is given) boots an
+        :class:`~repro.vm.smp.SmpMachine`; everything else boots the
+        plain one-hart :class:`~repro.vm.machine.Machine`.
+        """
+        if self.parallel:
+            return n_cores or max(1, self.n_cores)
+        return n_cores if n_cores > 1 else 0
+
     def boot(self, **kwargs) -> System:
         """Boot a fresh system running this workload (deterministic).
 
-        ``n_cores`` in ``kwargs`` (or the workload being parallel)
-        routes to :func:`repro.kernel.boot_smp`; plain workloads keep
-        the original single-core boot path bit-for-bit.
+        ``n_cores`` in ``kwargs`` picks the machine through
+        :meth:`smp_cores`.
         """
-        n_cores = int(kwargs.pop("n_cores", 0) or 0)
-        if n_cores == 0 and self.parallel:
-            n_cores = max(1, self.n_cores)
-        if n_cores > 1 or (n_cores == 1 and self.parallel):
-            return boot_smp(self.program, n_cores=max(1, n_cores),
-                            **kwargs)
-        return boot(self.program, **kwargs)
+        n_cores = self.smp_cores(int(kwargs.pop("n_cores", 0) or 0))
+        return boot(self.program, n_cores=n_cores or None, **kwargs)
 
     def run_fast(self, **kwargs) -> int:
         """Convenience: run to completion in fast mode, return icount."""

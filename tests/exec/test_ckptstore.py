@@ -282,3 +282,32 @@ def test_concurrent_publishers_do_not_clobber(tmp_path):
     artifact = store.load_artifact("prog", "cfg", "profile-1000")
     assert artifact["from"] in range(workers)
     assert not list(root.rglob("*.tmp"))
+
+
+# ----------------------------------------------------------------------
+# the REPRO_CHECKPOINTS knob
+
+
+def test_execute_spec_with_checkpoints_off_attaches_no_ladder(
+        tmp_path, monkeypatch):
+    """The worker is the one reader of ``REPRO_CHECKPOINTS``: with it
+    off the job runs without a ladder, so the result is unchanged and
+    nothing is written under ``checkpoints-v1/``."""
+    from dataclasses import replace
+
+    from repro.exec import execute_spec
+    from repro.exec.ckptstore import CKPT_DIR_NAME
+    from repro.harness import make_spec
+
+    spec = make_spec("swim", "simpoint-ckpt", "tiny")
+    on_root = tmp_path / "on" / CKPT_DIR_NAME
+    off_root = tmp_path / "off" / CKPT_DIR_NAME
+
+    monkeypatch.setenv("REPRO_CHECKPOINTS", "1")
+    on = execute_spec(replace(spec, checkpoint_root=str(on_root)))
+    assert any(path.is_file() for path in on_root.rglob("*"))
+
+    monkeypatch.setenv("REPRO_CHECKPOINTS", "0")
+    off = execute_spec(replace(spec, checkpoint_root=str(off_root)))
+    assert off.canonical_dict() == on.canonical_dict()
+    assert not off_root.exists()

@@ -9,10 +9,10 @@ Two independent guarantees:
   engines (fused fast path, per-instruction event engine, interpreter
   oracle);
 * **policy parity** — every sampling policy must produce an identical
-  canonical result with checkpoint acceleration off
-  (``REPRO_CHECKPOINTS=0``), against a cold store, and against a warm
-  store (where fast-forwards restore and profiles/selections are served
-  from disk).
+  canonical result with checkpoint acceleration off (no ladder
+  attached, as under ``REPRO_CHECKPOINTS=0``), against a cold store,
+  and against a warm store (where fast-forwards restore and
+  profiles/selections are served from disk).
 """
 
 import dataclasses
@@ -101,16 +101,12 @@ def run_policy_once(sampler_cls, store_root=None):
 
 @pytest.mark.parametrize("sampler_cls",
                          [SimPointSampler, CheckpointedSimPointSampler])
-def test_policy_parity_off_cold_warm(sampler_cls, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CHECKPOINTS", "0")
-    disabled, _ = run_policy_once(sampler_cls, tmp_path / "ckpt")
-
-    monkeypatch.setenv("REPRO_CHECKPOINTS", "1")
-    no_store, _ = run_policy_once(sampler_cls, None)
+def test_policy_parity_off_cold_warm(sampler_cls, tmp_path):
+    off, _ = run_policy_once(sampler_cls, None)
     cold, cold_stats = run_policy_once(sampler_cls, tmp_path / "ckpt")
     warm, warm_stats = run_policy_once(sampler_cls, tmp_path / "ckpt")
 
-    assert disabled == no_store == cold == warm
+    assert off == cold == warm
 
     # the warm run actually consumed the store (every policy memoizes
     # its profile; the recorder-driven policy also restores rungs — a

@@ -96,11 +96,9 @@ def checkpoint_cell(store_root):
     return result.canonical_dict()
 
 
-def suite_results(ckpt_root, monkeypatch):
+def suite_results(ckpt_root):
     results = {engine: engine_cell(engine) for engine in ENGINES}
-    monkeypatch.setenv("REPRO_CHECKPOINTS", "0")
     results["ckpt-off"] = checkpoint_cell(None)
-    monkeypatch.setenv("REPRO_CHECKPOINTS", "1")
     results["ckpt-cold"] = checkpoint_cell(ckpt_root)
     results["ckpt-warm"] = checkpoint_cell(ckpt_root)
     return results
@@ -135,13 +133,13 @@ def test_cold_warm_corrupt_code_cache_give_identical_results(
     entries = tmp_path / "cache" / codecache.CODECACHE_DIR_NAME
     try:
         fresh_process_state()
-        cold = suite_results(tmp_path / "ckpt-cold", monkeypatch)
+        cold = suite_results(tmp_path / "ckpt-cold")
         vetted = sanitizer.stats()["checked"]
         assert vetted > 0
         assert codecache.stats()["hit"] == 0
 
         fresh_process_state()
-        warm = suite_results(tmp_path / "ckpt-warm", monkeypatch)
+        warm = suite_results(tmp_path / "ckpt-warm")
         assert sanitizer.stats()["checked"] == 0
         assert codecache.stats()["corrupt"] == 0
         assert codecache.stats()["hit"] > 0
@@ -149,7 +147,7 @@ def test_cold_warm_corrupt_code_cache_give_identical_results(
         damaged = corrupt_every_entry(entries)
         assert damaged > 0
         fresh_process_state()
-        corrupt = suite_results(tmp_path / "ckpt-corrupt", monkeypatch)
+        corrupt = suite_results(tmp_path / "ckpt-corrupt")
         assert codecache.stats()["corrupt"] == damaged
         assert sanitizer.stats()["checked"] >= damaged
     finally:

@@ -132,15 +132,10 @@ def run_ckpt_policy(store_root, mega=True):
     return result.canonical_dict(), chains_built(controller.machine)
 
 
-def test_policy_parity_off_cold_warm_with_megablocks(tmp_path,
-                                                     monkeypatch):
-    monkeypatch.setenv("REPRO_CHECKPOINTS", "0")
-    disabled, _ = run_ckpt_policy(tmp_path / "ckpt")
-
-    monkeypatch.setenv("REPRO_CHECKPOINTS", "1")
+def test_policy_parity_off_cold_warm_with_megablocks(tmp_path):
     cold, built = run_ckpt_policy(tmp_path / "ckpt")
     warm, _ = run_ckpt_policy(tmp_path / "ckpt")
     tier_off, _ = run_ckpt_policy(None, mega=False)
 
     assert built > 0  # chains engaged under the checkpointed policy
-    assert disabled == cold == warm == tier_off
+    assert cold == warm == tier_off

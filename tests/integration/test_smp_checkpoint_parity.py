@@ -2,7 +2,7 @@
 
 The 2-core analogue of ``test_checkpoint_parity``: every sampling
 policy must produce the identical canonical result with checkpoint
-acceleration off (``REPRO_CHECKPOINTS=0``), with no store attached,
+acceleration off (no store attached, as under ``REPRO_CHECKPOINTS=0``),
 against a cold store (publishing) and against a warm store (restoring
 per-hart register files + the shared frame image) — under all three
 execution engines, which must also agree with each other.
@@ -48,19 +48,14 @@ def run_policy_once(sampler_cls, engine, store_root=None,
                          [SimPointSampler, CheckpointedSimPointSampler])
 @pytest.mark.parametrize("engine", ENGINES)
 def test_two_core_policy_parity_off_cold_warm(sampler_cls, engine,
-                                              tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CHECKPOINTS", "0")
-    disabled, _ = run_policy_once(sampler_cls, engine,
-                                  tmp_path / "ckpt")
-
-    monkeypatch.setenv("REPRO_CHECKPOINTS", "1")
-    no_store, _ = run_policy_once(sampler_cls, engine, None)
+                                              tmp_path):
+    off, _ = run_policy_once(sampler_cls, engine, None)
     cold, cold_stats = run_policy_once(sampler_cls, engine,
                                        tmp_path / "ckpt")
     warm, warm_stats = run_policy_once(sampler_cls, engine,
                                        tmp_path / "ckpt")
 
-    assert disabled == no_store == cold == warm
+    assert off == cold == warm
 
     assert cold_stats["profile_cache_hits"] == 0
     assert warm_stats["profile_cache_hits"] > 0

@@ -72,7 +72,8 @@ def test_smp_controller_aggregates_stats():
     assert "per_core" not in snapshot
     for key in ("exceptions", "io_operations", "block_dispatches"):
         assert snapshot[key] == sum(stats[key] for stats in per_core)
-    assert controller.icount == controller.machine.total_icount
+    assert controller.icount == sum(
+        core.state.icount for core in controller.machine.cores)
 
 
 # ----------------------------------------------------------------------

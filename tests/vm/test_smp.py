@@ -9,7 +9,7 @@ fan-out); per-core monitors attribute work to the hart that did it.
 
 import pytest
 
-from repro.kernel import GLOBALS_BASE, boot_smp
+from repro.kernel import GLOBALS_BASE
 from repro.vm.machine import MODE_EVENT
 from repro.vm.smp import SmpMachine
 from repro.workloads import SUITE_MACHINE_KWARGS, build_parallel
@@ -81,7 +81,8 @@ def test_budget_is_total_across_cores():
     system = boot_bench("lockcnt", n_cores=4)
     executed = system.run(1000)
     assert executed >= 1000
-    assert system.machine.total_icount == executed
+    assert sum(core.state.icount for core in system.machine.cores) \
+        == executed
     assert all(core.state.icount > 0 for core in system.machine.cores)
 
 
@@ -197,10 +198,16 @@ def test_code_pages_are_shared_and_writes_fan_out():
 
 
 def test_profile_counts_merge_across_cores():
-    system = boot_bench("lockcnt", n_cores=2)
-    from repro.vm.machine import MODE_PROFILE
-    system.run(2000, mode=MODE_PROFILE)
-    counts = system.machine.take_profile_counts()
-    assert counts and sum(counts.values()) > 0
+    from repro.sampling import make_controller
+    controller = make_controller(
+        build_parallel("lockcnt", size="tiny"),
+        machine_kwargs={**SUITE_MACHINE_KWARGS, "n_cores": 2})
+    controller.run_profile(2000)
+    per_core = [dict(core.profile_counts)
+                for core in controller.machine.cores]
+    assert all(per_core)
+    counts = controller.take_profile()
+    assert sum(counts.values()) == sum(
+        sum(core_counts.values()) for core_counts in per_core)
     # taking drains every core
-    assert system.machine.take_profile_counts() == {}
+    assert controller.take_profile() == {}
