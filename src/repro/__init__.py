@@ -20,13 +20,14 @@ Quick start::
     print(result.ipc, result.timed_intervals)
 """
 
+from repro._lazy import lazy_attributes
 from repro.isa import assemble, disassemble
 from repro.kernel import System, boot
 from repro.sampling import (DynamicSampler, DynamicSamplingConfig,
                             FullTiming, PolicyResult, SIMPOINT_PRESET,
-                            SMARTS_PRESET, SimPointSampler,
-                            SimulationController, SmartsSampler,
-                            accuracy_error, dynamic_config, speedup)
+                            SMARTS_PRESET, SimulationController,
+                            SmartsSampler, accuracy_error, dynamic_config,
+                            speedup)
 from repro.timing import OutOfOrderCore, TimingConfig
 from repro.vm import (MODE_EVENT, MODE_FAST, MODE_INTERP, MODE_PROFILE,
                       Machine)
@@ -34,6 +35,11 @@ from repro.workloads import (SUITE_ORDER, Workload, WorkloadBuilder,
                              benchmark_names, load_benchmark, load_suite)
 
 __version__ = "1.0.0"
+
+#: SimPoint needs numpy, which cells of the other policies never import
+__getattr__ = lazy_attributes(__name__, {
+    ".sampling.simpoint": ("SimPointSampler",),
+})
 
 __all__ = [
     "assemble", "disassemble",

@@ -7,7 +7,8 @@ Two halves share this package:
 * static analysis — the custom AST lint engine enforcing the
   determinism invariants (:mod:`.lint`, :mod:`.rules`,
   :mod:`.baseline`) and the generated-superblock sanitizer
-  (:mod:`.sanitizer`) the translator runs before ``compile()``.
+  (:mod:`.sanitizer`), which checks the bytecode of every block the
+  translator compiles before it runs.
 """
 
 from .baseline import Baseline, BaselineEntry, load_baseline, write_baseline

@@ -53,12 +53,13 @@ TELEMETRY_FILES: Tuple[str, ...] = ("obs/telemetry.py",
                                     "harness/history.py")
 
 #: modules allowed to call compile()/exec(): the DBT is the one
-#: sanctioned JIT; everything it compiles is vetted by the superblock
-#: sanitizer (repro.analysis.sanitizer).  The megablock tier's chain
-#: compiler (exit-stub emission + compile) lives in vm/chain.py and is
-#: vetted by the same sanitizer, including its chained-dispatch calls.
-#: The persistent code cache unmarshals code objects the sanitizer
-#: vetted in an earlier process, checking each entry's digest first.
+#: sanctioned JIT; every code object it compiles is vetted by the
+#: superblock sanitizer (repro.analysis.sanitizer, a bytecode check)
+#: before it runs.  The megablock tier's chain compiler (exit-stub
+#: emission) lives in vm/chain.py and compiles through the translator,
+#: so the same sanitizer vets its chained-dispatch calls.  The
+#: persistent code cache unmarshals code objects the sanitizer vetted
+#: in an earlier process, checking each entry's digest first.
 SANCTIONED_DYNAMIC_CODE: FrozenSet[str] = frozenset({
     "vm/translator.py",
     "vm/chain.py",

@@ -25,12 +25,10 @@ from repro.exec import (CACHE_VERSION, ExperimentEngine, ExperimentError,
                         JobSpec, ResultStore, config_fingerprint,
                         default_fingerprint, default_store, execute_spec,
                         failed_jobs, format_failure_summary)
-from repro.sampling import (CheckpointedSimPointSampler, DynamicSampler,
-                            FullTiming, PolicyResult,
+from repro.sampling import (DynamicSampler, FullTiming, PolicyResult,
                             RANKEDSET_PRESET, SIMPOINT_MAV_PRESET,
                             SIMPOINT_PRESET, SMARTS_PRESET,
-                            STRATIFIED_PRESET,
-                            RankedSetSampler, SimPointSampler,
+                            STRATIFIED_PRESET, RankedSetSampler,
                             SmartsSampler, StratifiedSampler,
                             dynamic_config, rankedset_config,
                             stratified_config)
@@ -71,12 +69,16 @@ def policy_factory(key: str) -> Callable:
         return FullTiming
     if key == "smarts":
         return lambda: SmartsSampler(SMARTS_PRESET)
-    if key in ("simpoint", "simpoint+prof"):
+    if key in ("simpoint", "simpoint+prof", "simpoint-ckpt",
+               "simpoint-mav"):
+        # imported here: SimPoint is the one policy that needs numpy
+        from repro.sampling.simpoint import (CheckpointedSimPointSampler,
+                                             SimPointSampler)
+        if key == "simpoint-ckpt":
+            return lambda: CheckpointedSimPointSampler(SIMPOINT_PRESET)
+        if key == "simpoint-mav":
+            return lambda: SimPointSampler(SIMPOINT_MAV_PRESET)
         return lambda: SimPointSampler(SIMPOINT_PRESET)
-    if key == "simpoint-ckpt":
-        return lambda: CheckpointedSimPointSampler(SIMPOINT_PRESET)
-    if key == "simpoint-mav":
-        return lambda: SimPointSampler(SIMPOINT_MAV_PRESET)
     if key == "stratified":
         return lambda: StratifiedSampler(STRATIFIED_PRESET)
     if key.startswith("stratified-"):

@@ -3,7 +3,8 @@
 * :class:`DynamicSampler` — the paper's Dynamic Sampling (Algorithm 1)
 * :class:`SmartsSampler` — SMARTS systematic sampling baseline
 * :class:`SimPointSampler` — SimPoint profiling/clustering baseline
-  (MAV-augmented features behind ``SimPointConfig.mav``)
+  (MAV-augmented features behind ``SimPointConfig.mav``; the SimPoint
+  names import numpy, so they load on first use)
 * :class:`StratifiedSampler` — two-phase stratified sampling over
   cheap VM statistics (Neyman-allocated timed budget)
 * :class:`RankedSetSampler` — ranked-set sampling with repeated
@@ -11,6 +12,8 @@
 * :class:`FullTiming` — the full-timing reference
 * :class:`SimulationController` — VM <-> timing coupling & mode switching
 """
+
+from repro._lazy import lazy_attributes
 
 from .base import PolicyResult, Sampler
 from .cheapstats import (CheapStatProfile, collect_cheap_stats,
@@ -29,15 +32,19 @@ from .presets import (FIGURE5_DYNAMIC_CONFIGS, INTERVAL_LENGTHS,
                       full_sweep, rankedset_config, stratified_config)
 from .rankedset import (RankedSetConfig, RankedSetSampler,
                         ranked_set_subsamples)
-from .simpoint import (BbvCollector, CheckpointedSimPointSampler,
-                       MavCollector, SimPointConfig, SimPointSampler,
-                       SimPointSelection, mav_matrix, profile_bbv_mav,
-                       select_simpoints)
+from .simpoint.config import SimPointConfig
 from .smarts import SmartsConfig, SmartsSampler
 from .smp import SmpSimulationController, make_controller
 from .stratified import (StratifiedConfig, StratifiedSampler,
                          neyman_allocation, quantile_strata,
                          systematic_pick)
+
+#: the SimPoint policies need numpy; they load on first use
+__getattr__ = lazy_attributes(__name__, {
+    ".simpoint": ("BbvCollector", "CheckpointedSimPointSampler",
+                  "MavCollector", "SimPointSampler", "SimPointSelection",
+                  "mav_matrix", "profile_bbv_mav", "select_simpoints"),
+})
 
 __all__ = [
     "PolicyResult", "Sampler",

@@ -12,7 +12,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .dynamic import DynamicSamplingConfig
 from .rankedset import RankedSetConfig
-from .simpoint.simpoint import SimPointConfig
+from .simpoint.config import SimPointConfig
 from .smarts import SmartsConfig
 from .stratified import StratifiedConfig
 

@@ -1,15 +1,14 @@
-"""Vectorized static analysis of one superblock (numpy).
+"""Static analysis of one superblock.
 
 The out-of-order timing recurrence is loop-carried — every stage cycle
-depends on the previous instruction's — so the *dynamic* part of timing
-cannot be vectorized without changing results.  Everything *static*
-about a block can be: fetch-line boundaries, i-side cache/TLB set
-indices and tags, operation latencies and functional-unit occupancies
-are computed here once per translation, over per-superblock instruction
-arrays, and folded into the generated fast-path code as constants
+depends on the previous instruction's — so only what is *static* about
+a block can be computed ahead of time: fetch-line boundaries, i-side
+cache/TLB set indices and tags, operation latencies and
+functional-unit occupancies are computed here once per translation and
+folded into the generated fast-path code as constants
 (:mod:`repro.timing.codegen`).
 
-The arrays follow the unified event-field convention of
+The fields follow the unified event-field convention of
 :func:`repro.vm.translator.event_fields` so the plan is guaranteed to
 describe each instruction exactly as the slow-path oracle sees it.
 """
@@ -17,8 +16,6 @@ describe each instruction exactly as the slow-path oracle sees it.
 from __future__ import annotations
 
 from typing import List
-
-import numpy as np
 
 from repro.vm.translator import event_fields
 
@@ -30,9 +27,8 @@ __all__ = ["BlockPlan", "plan_block"]
 class BlockPlan:
     """Static per-instruction facts for one translated superblock.
 
-    All fields are plain Python lists (converted from the numpy
-    intermediate) because they are consumed by the code generator as
-    source-code constants, not at execution time.
+    All fields are plain Python lists: they are consumed by the code
+    generator as source-code constants, not at execution time.
     """
 
     __slots__ = ("length", "pcs", "cls", "dst", "src1", "src2",
@@ -55,35 +51,24 @@ class BlockPlan:
 
 def plan_block(pc0: int, instrs, config: TimingConfig) -> BlockPlan:
     """Analyse a decoded block; returns the static facts per instruction."""
-    n = len(instrs)
-    fields = np.array([event_fields(instr) for instr in instrs],
-                      dtype=np.int64)
-    pcs = pc0 + 4 * np.arange(n, dtype=np.int64)
+    fields = [event_fields(instr) for instr in instrs]
     line_shift = config.l1i.line_size.bit_length() - 1
-    lines = pcs >> line_shift
-    newline = np.empty(n, dtype=bool)
-    newline[0] = True
-    np.not_equal(lines[1:], lines[:-1], out=newline[1:])
-
-    cls = fields[:, 0]
-    lat_table = np.zeros(int(cls.max()) + 1, dtype=np.int64)
-    for opclass, latency in config.latencies.items():
-        if int(opclass) < len(lat_table):
-            lat_table[int(opclass)] = latency
-    lat = lat_table[cls]
-    unpipelined = np.isin(
-        cls, np.array(sorted(config.unpipelined), dtype=np.int64))
-    occ = np.where(unpipelined, lat, 1)
+    latencies = {int(opclass): int(latency)
+                 for opclass, latency in config.latencies.items()}
+    unpipelined = {int(opclass) for opclass in config.unpipelined}
 
     plan = BlockPlan()
-    plan.length = n
-    plan.pcs = pcs.tolist()
-    plan.cls = cls.tolist()
-    plan.dst = fields[:, 1].tolist()
-    plan.src1 = fields[:, 2].tolist()
-    plan.src2 = fields[:, 3].tolist()
-    plan.newline = newline.tolist()
-    plan.lines = lines.tolist()
-    plan.lat = lat.tolist()
-    plan.occ = occ.tolist()
+    plan.length = len(fields)
+    plan.pcs = [pc0 + 4 * index for index in range(len(fields))]
+    plan.lines = [pc >> line_shift for pc in plan.pcs]
+    plan.newline = [True] + [
+        line != previous
+        for previous, line in zip(plan.lines, plan.lines[1:], strict=False)]
+    plan.cls = [field[0] for field in fields]
+    plan.dst = [field[1] for field in fields]
+    plan.src1 = [field[2] for field in fields]
+    plan.src2 = [field[3] for field in fields]
+    plan.lat = [latencies.get(cls, 0) for cls in plan.cls]
+    plan.occ = [latency if cls in unpipelined else 1
+                for cls, latency in zip(plan.cls, plan.lat, strict=True)]
     return plan

@@ -204,7 +204,7 @@ class ChainLinker:
     def _compile(self, head: int,
                  fragments: Sequence["TranslatedBlock"],
                  loop_back: bool) -> Optional[ChainedBlock]:
-        """Emit, sanitize and compile one megablock (sanctioned JIT
+        """Emit, compile and sanitize one megablock (sanctioned JIT
         site — rule REPRO004 lists this module beside the translator).
 
         The constituents are re-decoded and their fused bodies spliced

@@ -227,24 +227,26 @@ def _codecache():
     return _CODECACHE
 
 
-def _sanitize(source: str, env_names, flavor: str):
+def _sanitize(code: CodeType, env_names, flavor: str,
+              source: str) -> bool:
     """Run the generated-superblock sanitizer unless disabled.
 
-    Every source string this module compiles goes through here first
-    (rule REPRO004's runtime counterpart): the sanitizer walks the AST
-    and rejects imports, I/O, and writes outside machine/timing state.
-    Returns the vetted tree (so ``compile()`` need not parse the source
-    again), or None when ``REPRO_SANITIZE=0`` disables the check;
-    results are identical either way because the sanitizer only vets
-    source, it never rewrites it.
+    Every code object this module compiles goes through here before it
+    is executed or persisted (rule REPRO004's runtime counterpart): the
+    sanitizer checks the compiled bytecode and rejects imports, I/O,
+    and writes outside machine/timing state.  Returns whether it ran
+    (False when ``REPRO_SANITIZE=0`` disables it); results are
+    identical either way because the sanitizer only vets code, it never
+    rewrites it.
     """
     global _SANITIZER
     if _SANITIZER is None:
         from repro.analysis import sanitizer as _sanitizer_module
         _SANITIZER = _sanitizer_module
     if _SANITIZER.sanitizer_enabled():
-        return _SANITIZER.sanitize_block_source(source, env_names, flavor)
-    return None
+        _SANITIZER.sanitize_block_source(code, env_names, flavor, source)
+        return True
+    return False
 
 
 #: lazily bound repro.analysis.symexec module (the symbolic verifier);
@@ -283,11 +285,12 @@ def compile_block(key: tuple, generate: Callable[[], str],
 
     An in-process hit (``_CODE_CACHE[key]``) costs a dict lookup.  On a
     miss the source is generated and looked up in the persistent code
-    cache by content; a persistent hit skips only the sanitizer and
-    ``compile()``.  Otherwise the source is sanitized against ``env``'s
-    names and compiled from the vetted tree, and the code is persisted
-    only if the sanitizer actually ran.  ``verify`` (the opt-in
-    symbolic deep check) sees every generated source either way.
+    cache by content; a persistent hit skips only ``compile()`` and the
+    sanitizer.  Otherwise the source is compiled once, the code object
+    is sanitized against ``env``'s names, and exactly that
+    ``compile(source)`` is persisted, only if the sanitizer actually
+    ran.  ``verify`` (the opt-in symbolic deep check) sees every
+    generated source either way.
     """
     cached = _CODE_CACHE.get(key)
     if cached is not None:
@@ -299,17 +302,16 @@ def compile_block(key: tuple, generate: Callable[[], str],
     persistent = _codecache()
     entry = persistent.entry_key(filename, env, source)
     code = persistent.load(entry)
-    tree = None if code is not None else _sanitize(source, env, flavor)
-    verify(source)
+    vetted = False
     if code is None:
-        vetted = tree is not None
-        code = compile(tree if vetted else source, filename, "exec")
-        # drop the tree before marshalling: constants it still shares
-        # with the code would be written as back-references, and the
-        # entry would no longer match compile(source) byte for byte
-        del tree
-        if vetted:
-            persistent.store(entry, code)
+        # dont_inherit: the code must not depend on this module's
+        # __future__ imports, so a cache entry is compile(source) as
+        # any caller would get it
+        code = compile(source, filename, "exec", dont_inherit=True)
+        vetted = _sanitize(code, env, flavor, source)
+    verify(source)
+    if vetted:
+        persistent.store(entry, code)
     if profiling:
         profiler.record_translation(pc, tier, profiler.now() - started,
                                     source_lines=source.count("\n"))

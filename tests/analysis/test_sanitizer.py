@@ -1,4 +1,7 @@
-"""The generated-superblock sanitizer: rejections and live coverage."""
+"""The generated-superblock sanitizer: rejections and live coverage.
+
+The sanitizer vets the code object ``compile(source)`` returns, so
+every case compiles its source first, as the translator does."""
 
 import pytest
 
@@ -11,12 +14,13 @@ ENV = frozenset({
 
 
 def check(source, env=ENV):
-    sanitize_block_source(source, env)
+    sanitize_block_source(compile(source, "<block>", "exec"), env,
+                          source=source)
 
 
 def reasons_of(source, env=ENV):
     with pytest.raises(SanitizerError) as excinfo:
-        sanitize_block_source(source, env)
+        check(source, env)
     return "\n".join(excinfo.value.reasons)
 
 
@@ -140,8 +144,51 @@ def _block(state, budget):
 """)
 
 
-def test_rejects_syntax_error():
-    assert "not parseable" in reasons_of("def _block(state budget:\n")
+def test_rejects_conditional_expression_targets():
+    # a value computed on two paths is never trusted, even when the
+    # compiler copies the rest of the statement into both of them
+    assert "attribute write" in reasons_of("""
+def _block(state, budget):
+    (budget if state.pc else state).pc = 1
+    return 0
+""")
+    assert "call through" in reasons_of("""
+def _block(state, budget):
+    v = M
+    return (v if v.pc else v)(0)
+""")
+    assert "call through" in reasons_of("""
+def _block(state, budget):
+    state.pc = 1
+    k = (M if state.pc else M)(0)
+    return 1
+""")
+
+
+def test_unsupported_python_rejects_every_block(monkeypatch):
+    # opcode numbers and stack layouts are per version: without a table
+    # for the running interpreter nothing can be vetted
+    monkeypatch.setattr(sanitizer, "_KINDS", None)
+    monkeypatch.setattr(sanitizer, "_VERSION", (3, 99))
+    reasons = reasons_of("def _block(state, budget):\n    return 0\n")
+    assert reasons == ("Python 3.99 has no sanitizer opcode table "
+                       "(supported: 3.11, 3.12, 3.13)")
+
+
+def test_rejects_syntax_error(monkeypatch, tmp_path):
+    """A source that does not compile never reaches the sanitizer: the
+    translator's one ``compile()`` raises, and nothing is persisted."""
+    from repro.vm import translator as translator_module
+
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    sanitizer.reset_stats()
+    with pytest.raises(SyntaxError):
+        translator_module.compile_block(
+            ("syntax-error-test",), lambda: "def _block(state budget:\n",
+            {}, "<block>", "fast", lambda source: None, 0, "fast")
+    assert sanitizer.stats() == {"checked": 0, "rejected": 0}
+    assert not (tmp_path / "codecache-v1").exists()
 
 
 # ----------------------------------------------------------------------
@@ -238,11 +285,11 @@ def _block(state, budget):
 
 
 def test_returned_tree_compiles_to_identical_code(monkeypatch, tmp_path):
-    """Over a real tiny run, compiling the tree the sanitizer returns
-    gives code marshal-identical to compiling the source."""
-    import ast
+    """Over a real tiny run, every persisted code-cache entry holds
+    exactly ``marshal.dumps(compile(source))`` of the vetted source."""
     import marshal
 
+    from repro.exec import codecache
     from repro.vm import translator as translator_module
     from repro.workloads import load_benchmark
 
@@ -252,24 +299,20 @@ def test_returned_tree_compiles_to_identical_code(monkeypatch, tmp_path):
     vetted = []
     real = sanitizer.sanitize_block_source
 
-    def recording(source, env_names, flavor="fast"):
-        vetted.append((source, real(source, env_names, flavor)))
-        # the translator compiles a tree of its own, so the recorded
-        # one shares its constants with no other code object
-        return ast.parse(source)
+    def recording(code, env_names, flavor="fast", source=""):
+        vetted.append((code.co_filename, frozenset(env_names), source))
+        return real(code, env_names, flavor, source)
 
     monkeypatch.setattr(sanitizer, "sanitize_block_source", recording)
     load_benchmark("gzip", size="tiny").boot().run_to_completion()
     assert len(vetted) > 10
-    while vetted:
-        source, tree = vetted.pop()
-        code = compile(tree, "<block>", "exec")
-        # a live tree shares constants with the code, which marshal
-        # would write as back-references; compare the way the
-        # translator persists code, after the tree is gone
-        del tree
-        assert marshal.dumps(code) == marshal.dumps(
-            compile(source, "<block>", "exec"))
+    for filename, env_names, source in vetted:
+        key = codecache.entry_key(filename, env_names, source)
+        with open(codecache.entry_path(key), "rb") as handle:
+            entry = handle.read()
+        assert entry[:32] == key
+        assert entry[64:] == marshal.dumps(
+            compile(source, filename, "exec", dont_inherit=True))
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,8 @@ both sufficient and necessary.
 import pytest
 
 from repro.analysis import symexec
-from repro.analysis.sanitizer import (SanitizerError,
-                                      sanitize_block_source)
+from repro.analysis.sanitizer import SanitizerError
+from repro.analysis.sanitizer import sanitize_block_source as _sanitize
 from repro.timing import OutOfOrderCore, TimingConfig
 from repro.timing.codegen import TimedBlockCodegen
 from repro.vm import MODE_EVENT
@@ -23,6 +23,12 @@ from repro.workloads import SUITE_MACHINE_KWARGS, build_parallel
 #: the names the chain linker binds beside the translator and codegen
 #: environments
 LINKER_NAMES = frozenset({"GuestFault", "VS", "IRQ", "GEN"})
+
+
+def sanitize_block_source(source, env, flavor):
+    """Vet ``source`` the way the linker does: compile it, then check
+    the code object."""
+    _sanitize(compile(source, "<mega>", "exec"), env, flavor, source)
 
 
 @pytest.fixture(scope="module")
