@@ -95,11 +95,13 @@ class NondeterminismRule(Rule):
     title = "nondeterminism source in deterministic core"
     directive = "volatile"
 
-    #: exact dotted calls that read host state
+    #: exact dotted calls that read host state (the ``time`` formatters
+    #: read the clock unless they are given a time)
     BANNED_CALLS: FrozenSet[str] = frozenset({
         "time.time", "time.time_ns", "time.perf_counter",
         "time.perf_counter_ns", "time.monotonic", "time.monotonic_ns",
         "time.process_time", "time.process_time_ns",
+        "time.strftime", "time.localtime", "time.gmtime", "time.ctime",
         "os.urandom", "os.getrandom",
         "uuid.uuid1", "uuid.uuid4",
         "secrets.token_bytes", "secrets.token_hex", "secrets.token_urlsafe",

@@ -45,9 +45,10 @@ import zlib
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
+from repro._atomic import atomic_write_bytes
 from repro.kernel.checkpoint import Checkpoint, take as take_checkpoint
 
-from .store import FileLock, atomic_write_bytes, default_cache_root
+from .store import FileLock, default_cache_root
 
 __all__ = [
     "CKPT_DIR_NAME", "CheckpointStore", "CheckpointLadder",

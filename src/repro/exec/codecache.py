@@ -26,9 +26,10 @@ that passed the sanitizer under ``<cache>/codecache-v1/``, beside
   torn or bit-flipped entry is vetted and compiled afresh, never run.
 
 Entries are content-addressed and never change once written, so writes
-need no lock: each lands whole via :func:`~.store.atomic_write_bytes`,
-and two writers of one key write the same code.  Lookups are counted
-module-locally (:func:`stats`) and in the :mod:`repro.obs` registry as
+need no lock: each lands whole via
+:func:`~repro._atomic.atomic_write_bytes`, and two writers of one key
+write the same code.  Lookups are counted module-locally
+(:func:`stats`) and in the :mod:`repro.obs` registry as
 ``codecache.hit`` / ``codecache.miss`` / ``codecache.corrupt`` (a
 corrupt entry also counts as a miss).  Delete the directory to clear
 the cache.
@@ -44,7 +45,9 @@ from pathlib import Path
 from types import CodeType
 from typing import Iterable, Optional
 
-from .store import atomic_write_bytes, default_cache_root
+from repro._atomic import atomic_write_bytes
+
+from .store import default_cache_root
 
 __all__ = ["CODECACHE_DIR_NAME", "entry_key", "entry_path", "load",
            "store", "stats", "reset_stats"]

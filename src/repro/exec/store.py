@@ -19,14 +19,13 @@ keyed by ``benchmark|policy|size|fingerprint``.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import time
-import uuid
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Iterator, Optional
 
+from repro._atomic import atomic_write_bytes
 from repro.sampling import PolicyResult
 
 from .spec import default_fingerprint
@@ -36,8 +35,8 @@ try:  # POSIX advisory locks; fall back to O_EXCL spinning elsewhere
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-__all__ = ["FileLock", "ResultStore", "atomic_write_bytes",
-           "default_cache_root", "default_store"]
+__all__ = ["FileLock", "ResultStore", "default_cache_root",
+           "default_store"]
 
 STORE_DIR_NAME = "results-v2"
 V1_FILE_NAME = "results-v1.json"
@@ -56,23 +55,6 @@ def default_cache_root() -> Path:
     if env:
         return Path(env)
     return _REPO_CACHE_ROOT
-
-
-def atomic_write_bytes(path: Union[str, Path], payload: bytes) -> None:
-    """Land ``payload`` at ``path`` all at once: write a uniquely named
-    temp file in the same directory, then ``os.replace`` it over the
-    target, so a reader sees the old file or the new one, never a torn
-    mix.  The shared writer of every store under the cache root."""
-    path = os.fspath(path)
-    tmp = f"{path}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
 
 
 def default_store() -> "ResultStore":

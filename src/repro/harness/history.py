@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import platform
 import statistics
 import sys
 import time
-import uuid
 from pathlib import Path
 from typing import Dict, List, Optional, Union
+
+from repro._atomic import atomic_write_bytes
 
 from . import bench
 
@@ -110,11 +110,9 @@ def append_history(path: Union[str, Path], entry: Dict) -> int:
     entries = load_history(path)
     entries.append(entry)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(  # repro: volatile unique temp-file names
-        f"{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
-    tmp.write_text("".join(json.dumps(item, sort_keys=True) + "\n"
-                           for item in entries))
-    os.replace(tmp, path)
+    atomic_write_bytes(path, "".join(
+        json.dumps(item, sort_keys=True) + "\n"
+        for item in entries).encode())
     return len(entries)
 
 

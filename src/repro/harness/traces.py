@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 
 from repro.sampling import (SIMPOINT_PRESET, SimulationController,
                             dynamic_config)
-from repro.sampling.simpoint import BbvCollector, select_simpoints
+from repro.sampling.simpoint import profile_bbv, select_simpoints
 from repro.timing import TimingConfig
 from repro.workloads import SUITE_MACHINE_KWARGS, load_benchmark
 
@@ -85,17 +85,15 @@ def compare_phase_detection(benchmark: str, size: str = "small",
     workload = load_benchmark(benchmark, size=size)
     interval = SIMPOINT_PRESET.interval_length
 
-    # SimPoint side: profile + cluster
-    profiler = SimulationController(workload,
-                                    machine_kwargs=SUITE_MACHINE_KWARGS)
-    collector = BbvCollector(interval)
-    collector.collect(profiler)
+    controller = SimulationController(workload,
+                                      machine_kwargs=SUITE_MACHINE_KWARGS)
+    # SimPoint side: profile (on a replica, leaving the controller
+    # untouched) + cluster
+    collector = profile_bbv(controller, interval)
     selection = select_simpoints(collector.matrix(), SIMPOINT_PRESET)
     simpoint_intervals = [index for index, _ in selection.points]
 
     # Dynamic Sampling side: record where samples were triggered
-    controller = SimulationController(workload,
-                                      machine_kwargs=SUITE_MACHINE_KWARGS)
     from repro.sampling.dynamic import DynamicSampler
     config = dynamic_config(variable, sensitivity, "1M", None)
     sampler = DynamicSampler(config)

@@ -37,9 +37,10 @@ import os
 import re
 import threading
 import time
-import uuid
 from pathlib import Path
 from typing import Dict, List, Optional, Union
+
+from repro._atomic import atomic_write_bytes
 
 __all__ = [
     "TELEMETRY_DIR_NAME", "HEARTBEAT_INTERVAL", "STALE_AFTER",
@@ -85,12 +86,9 @@ def wall_now() -> float:
 
 
 def _atomic_write_json(path: Path, payload: Dict) -> None:
-    """Uniquely named temp file + ``os.replace`` (never a torn read)."""
+    """Land ``payload`` as JSON at ``path`` (never a torn read)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(  # repro: volatile unique temp-file names
-        f"{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True))
-    os.replace(tmp, path)
+    atomic_write_bytes(path, json.dumps(payload, sort_keys=True).encode())
 
 
 def _read_json(path: Path) -> Optional[Dict]:

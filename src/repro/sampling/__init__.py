@@ -16,8 +16,7 @@
 from repro._lazy import lazy_attributes
 
 from .base import PolicyResult, Sampler
-from .cheapstats import (CheapStatProfile, collect_cheap_stats,
-                         measure_intervals)
+from .cheapstats import CheapStatProfile, collect_cheap_stats
 from .controller import ModeBreakdown, SimulationController
 from .costmodel import CostModel, DEFAULT_COST_MODEL
 from .dynamic import (DynamicSampler, DynamicSamplingConfig, sweep_configs)
@@ -25,6 +24,7 @@ from .estimators import (MeanCpiEstimator, RepeatedSubsampleEstimator,
                          SegmentedIpcEstimator, WeightedClusterEstimator,
                          accuracy_error, speedup)
 from .full import FullTiming
+from .passes import measure_intervals
 from .presets import (FIGURE5_DYNAMIC_CONFIGS, INTERVAL_LENGTHS,
                       INTERVAL_UNIT, RANKEDSET_PRESET, SIMPOINT_MAV_PRESET,
                       SIMPOINT_PRESET, SMARTS_PRESET, STRATIFIED_PRESET,

@@ -157,6 +157,16 @@ class SimulationController:
             mode: registry.gauge(f"controller.throughput.{mode}")
             for mode in ("fast", "profile", "warming", "timed")}
 
+    def replica(self) -> "SimulationController":
+        """A fresh controller of this one's class over the same workload
+        and machine, for the side passes that must not disturb this
+        run's trajectory (profiling, checkpoint recording).  The class
+        matters: a multi-core guest must be replayed on an identically
+        interleaved SMP machine, or recorded interval boundaries would
+        not line up."""
+        return type(self)(self.workload,
+                          machine_kwargs=self.machine_kwargs)
+
     # ------------------------------------------------------------------
     # state (total-instruction units; per-hart views)
 

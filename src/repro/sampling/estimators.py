@@ -48,10 +48,6 @@ class SegmentedIpcEstimator:
     def total_instructions(self) -> int:
         return sum(count for count, _ in self._segments)
 
-    @property
-    def timed_samples(self) -> int:
-        return 1 if self._last_ipc is not None else 0
-
     def estimated_cycles(self) -> float:
         cycles = 0.0
         for count, ipc in self._segments:

@@ -30,9 +30,10 @@ from typing import Dict, List, Tuple
 from repro.vm.stats import MONITORABLE
 
 from .base import Sampler
-from .cheapstats import collect_cheap_stats, measure_intervals
+from .cheapstats import collect_cheap_stats
 from .controller import SimulationController
 from .estimators import RepeatedSubsampleEstimator
+from .passes import measure_intervals
 
 
 @dataclass(frozen=True)

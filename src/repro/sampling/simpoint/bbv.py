@@ -3,46 +3,48 @@
 A BBV is, for one execution interval, the number of instructions
 executed in each basic block.  Our VM's PROFILE mode counts
 instructions per dispatched block at full speed;
-:class:`BbvCollector` slices those counts into per-interval vectors and
-packs them into a dense matrix for clustering.
+:class:`BbvCollector` is the feature stream that slices those counts
+into per-interval vectors during the shared profiling pass
+(:func:`~repro.sampling.passes.profile_pass`) and packs them into a
+dense matrix for clustering.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..controller import SimulationController
+from ..passes import profile_pass, rekey
 
 
 class BbvCollector:
     """Collects one Basic Block Vector per fixed-length interval."""
 
     def __init__(self, interval_length: int):
-        if interval_length <= 0:
-            raise ValueError("interval length must be positive")
         self.interval_length = interval_length
         self.vectors: List[Dict[int, int]] = []
-        #: instruction offset at which each collected interval began.
-        #: Intervals end on basic-block boundaries, so the grid drifts
-        #: slightly from exact multiples of ``interval_length``; the
-        #: simulation pass must use these recorded starts.
+        #: instruction offset at which each collected interval began
+        #: (the pass's recorded starts)
         self.starts: List[int] = []
 
-    def collect(self, controller: SimulationController) -> int:
-        """Profile the whole remaining run; returns intervals collected."""
-        controller.take_profile()  # drop any stale counts
-        while not controller.finished:
-            start = controller.icount
-            executed = controller.run_profile(self.interval_length)
-            if executed == 0:
-                break
-            counts = controller.take_profile()
-            if counts:
-                self.vectors.append(counts)
-                self.starts.append(start)
-        return len(self.vectors)
+    def attach(self, replica: SimulationController) -> None:
+        replica.take_profile()  # drop any stale counts
+
+    def take(self, replica: SimulationController,
+             executed: int) -> Optional[Dict[int, int]]:
+        """The interval's counts; an empty vector refuses it."""
+        return replica.take_profile() or None
+
+    def keep(self, feature: Dict[int, int]) -> None:
+        self.vectors.append(feature)
+
+    def dump(self) -> Dict:
+        return {"vectors": rekey(self.vectors, str)}
+
+    def load(self, payload: Dict) -> None:
+        self.vectors = rekey(payload["vectors"], int)
 
     def matrix(self) -> np.ndarray:
         """Dense (intervals x blocks) matrix with L1-normalised rows."""
@@ -62,46 +64,12 @@ class BbvCollector:
 
 def profile_bbv(controller: SimulationController,
                 interval_length: int) -> BbvCollector:
-    """The full-run BBV profile of ``controller``'s workload.
-
-    Profiles on a *separate* identical system (the controller's own
-    trajectory is untouched) and merges the profiling cost into the
-    controller's breakdown.  When the controller has a checkpoint
-    ladder attached, the profile is memoized in its store: the BBV
-    profile is a deterministic, engine-invariant function of (program,
-    machine config, interval length), so a cache hit reconstructs the
-    vectors and charges the identical ``profile_instructions`` at
-    near-zero wall-clock — the cost model sees the same run either way.
+    """The full-run BBV profile of ``controller``'s workload: one
+    :func:`~repro.sampling.passes.profile_pass` in the VM's profile
+    mode, charged to the controller's ``profile`` breakdown and
+    memoized as the ``profile-<interval>`` artifact.
     """
-    ladder = controller.checkpoints
     collector = BbvCollector(interval_length)
-    if ladder is not None:
-        cached = ladder.load_profile(interval_length)
-        if cached is not None:
-            collector.vectors = [
-                {int(pc): count for pc, count in vector.items()}
-                for vector in cached["vectors"]]
-            collector.starts = list(cached["starts"])
-            controller.breakdown.profile_instructions += \
-                cached["profile_instructions"]
-            controller.checkpoint_stats["profile_cache_hits"] += 1
-            return collector
-    # Profile on a replica of the controller's own class: a multi-core
-    # guest must be profiled on an identically interleaved SMP machine.
-    profiler = type(controller)(
-        controller.workload,
-        machine_kwargs=controller.machine_kwargs)
-    collector.collect(profiler)
-    controller.breakdown.profile_instructions += \
-        profiler.breakdown.profile_instructions
-    controller.breakdown.wall_seconds["profile"] += \
-        profiler.breakdown.wall_seconds["profile"]
-    if ladder is not None:
-        ladder.publish_profile(interval_length, {
-            "vectors": [{str(pc): count for pc, count in vector.items()}
-                        for vector in collector.vectors],
-            "starts": list(collector.starts),
-            "profile_instructions":
-                profiler.breakdown.profile_instructions,
-        })
+    collector.starts = profile_pass(controller, f"profile-{interval_length}",
+                                    "profile", interval_length, [collector])
     return collector

@@ -60,12 +60,7 @@ class CheckpointedSimPointSampler(Sampler):
 
         snapshots: List[Tuple[int, float, ckpt.Checkpoint]] = []
         dropped = 0
-        # Replicate the controller's own class: a multi-core guest must
-        # be re-run on an identically interleaved SMP machine or the
-        # recorded warm-up boundaries would not line up.
-        recorder = type(controller)(
-            controller.workload,
-            machine_kwargs=controller.machine_kwargs)
+        recorder = controller.replica()
         recorder.attach_checkpoints(controller.checkpoints)
         previous = None
         for index, weight in selection.points:

@@ -9,9 +9,9 @@ related work) close that gap with features from the *data* side.
 The VM's cheap window onto data behaviour is the MMU's TLB-fill slow
 path: every fill names the virtual page being touched, and fills are
 deterministic and engine-invariant (the parity tests pin vm_stats
-across all three engines).  :class:`MavCollector` hooks
-``MMU.fill_log`` during the profiling pass and condenses each
-interval's fill sequence into two histograms:
+across all three engines).  :class:`MavCollector` is a feature stream
+of the shared profiling pass: it hooks ``MMU.fill_log`` and condenses
+each interval's fill sequence into two histograms:
 
 * **page touches** — ``{vpn: fills}``, which pages and how hard;
 * **fill strides** — log2-bucketed ``|vpn delta|`` between successive
@@ -31,6 +31,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..controller import SimulationController
+from ..passes import profile_pass, rekey
 from .bbv import BbvCollector
 
 #: stride histogram buckets: 0 = same page, k = bit_length(|delta|)
@@ -60,50 +61,45 @@ def touch_histograms(fills: Sequence[int]
     return pages, strides
 
 
-def _machine_mmus(machine) -> List:
-    """Every MMU of a machine (one per hart on an SMP guest)."""
-    cores = getattr(machine, "cores", None)
-    if cores is not None:
-        return [core.mmu for core in cores]
-    return [machine.mmu]
-
-
 class MavCollector:
     """Per-interval MAV features riding a profiling pass.
 
     One shared fill log is attached to every MMU of the profiled
     machine (an SMP guest's harts fill into the same log, in the
     deterministic gang-scheduled order the controller dispatches
-    them), and :meth:`close_interval` drains it into the histograms.
+    them), and :meth:`take` drains it into the histograms.
     """
 
     def __init__(self):
         self.page_hists: List[Dict[int, int]] = []
         self.stride_hists: List[Dict[int, int]] = []
         self._log: List[int] = []
-        self._mmus: List = []
 
-    def attach(self, machine) -> None:
-        self._mmus = _machine_mmus(machine)
-        for mmu in self._mmus:
-            mmu.fill_log = self._log
+    def attach(self, replica: SimulationController) -> None:
+        for hart in replica.harts:
+            hart.mmu.fill_log = self._log
 
-    def detach(self) -> None:
-        for mmu in self._mmus:
-            mmu.fill_log = None
-        self._mmus = []
-
-    def close_interval(self) -> None:
+    def take(self, replica: SimulationController, executed: int
+             ) -> Tuple[Dict[int, int], Dict[int, int]]:
         """Fold the pending fill log into one interval's histograms."""
-        pages, strides = touch_histograms(self._log)
-        self.page_hists.append(pages)
-        self.stride_hists.append(strides)
+        histograms = touch_histograms(self._log)
         # the MMUs hold a reference to this exact list: clear in place
         self._log.clear()
+        return histograms
 
-    def discard_pending(self) -> None:
-        """Drop fills of an interval the BBV collector rejected."""
-        self._log.clear()
+    def keep(self, feature: Tuple[Dict[int, int], Dict[int, int]]
+             ) -> None:
+        pages, strides = feature
+        self.page_hists.append(pages)
+        self.stride_hists.append(strides)
+
+    def dump(self) -> Dict:
+        return {"page_hists": rekey(self.page_hists, str),
+                "stride_hists": rekey(self.stride_hists, str)}
+
+    def load(self, payload: Dict) -> None:
+        self.page_hists = rekey(payload["page_hists"], int)
+        self.stride_hists = rekey(payload["stride_hists"], int)
 
 
 def mav_matrix(page_hists: Sequence[Dict[int, int]],
@@ -150,71 +146,15 @@ def profile_bbv_mav(controller: SimulationController,
                     ) -> Tuple[BbvCollector, MavCollector]:
     """One profiling pass collecting BBVs *and* MAV histograms.
 
-    Mirrors :func:`~repro.sampling.simpoint.bbv.profile_bbv`: the pass
-    runs on a replica system, its cost lands in the controller's
-    ``profile`` breakdown, and the result is memoized in the
-    checkpoint ladder — under a MAV-specific artifact name, so plain
-    BBV profiles and augmented ones never mix.
+    The same :func:`~repro.sampling.passes.profile_pass` as
+    :func:`~repro.sampling.simpoint.bbv.profile_bbv` with one more
+    feature stream, memoized under a MAV-specific artifact name
+    (``mavprofile-<interval>``), so plain BBV profiles and augmented
+    ones never mix.
     """
-    if interval_length <= 0:
-        raise ValueError("interval length must be positive")
-    ladder = controller.checkpoints
-    artifact = f"mavprofile-{interval_length}"
     collector = BbvCollector(interval_length)
     mav = MavCollector()
-    if ladder is not None:
-        cached = ladder.load_artifact(artifact)
-        if cached is not None:
-            collector.vectors = [
-                {int(pc): count for pc, count in vector.items()}
-                for vector in cached["vectors"]]
-            collector.starts = list(cached["starts"])
-            mav.page_hists = [
-                {int(vpn): count for vpn, count in hist.items()}
-                for hist in cached["page_hists"]]
-            mav.stride_hists = [
-                {int(bucket): count for bucket, count in hist.items()}
-                for hist in cached["stride_hists"]]
-            controller.breakdown.profile_instructions += \
-                cached["profile_instructions"]
-            controller.checkpoint_stats["profile_cache_hits"] += 1
-            return collector, mav
-    replica = type(controller)(
-        controller.workload,
-        machine_kwargs=controller.machine_kwargs)
-    mav.attach(replica.machine)
-    try:
-        replica.take_profile()  # drop any stale counts
-        while not replica.finished:
-            start = replica.icount
-            executed = replica.run_profile(interval_length)
-            if executed == 0:
-                break
-            counts = replica.take_profile()
-            if counts:
-                collector.vectors.append(counts)
-                collector.starts.append(start)
-                mav.close_interval()
-            else:
-                mav.discard_pending()
-    finally:
-        mav.detach()
-    controller.breakdown.profile_instructions += \
-        replica.breakdown.profile_instructions
-    controller.breakdown.wall_seconds["profile"] += \
-        replica.breakdown.wall_seconds["profile"]
-    if ladder is not None:
-        ladder.publish_artifact(artifact, {
-            "vectors": [{str(pc): count for pc, count in vector.items()}
-                        for vector in collector.vectors],
-            "starts": list(collector.starts),
-            "page_hists": [{str(vpn): count
-                            for vpn, count in hist.items()}
-                           for hist in mav.page_hists],
-            "stride_hists": [{str(bucket): count
-                              for bucket, count in hist.items()}
-                             for hist in mav.stride_hists],
-            "profile_instructions":
-                replica.breakdown.profile_instructions,
-        })
+    collector.starts = profile_pass(
+        controller, f"mavprofile-{interval_length}", "profile",
+        interval_length, [collector, mav])
     return collector, mav

@@ -13,8 +13,11 @@ simulation times are proportional to the *number of points* (the
 methodology restores checkpoints rather than replaying the program), so
 the ``simpoint`` policy charges only warming + detailed simulation.
 The separate ``simpoint+prof`` figure additionally charges the full
-profiling pass.  Fast-forward instructions are executed (we do not
-implement checkpoints in the VM) but reported separately.
+profiling pass.  This sampler executes its fast-forwards (restoring
+from the on-disk checkpoint ladder when one is attached) and reports
+them separately; :mod:`.checkpointed` restores an in-memory snapshot
+at every point instead.  Both passes are the shared ones of
+:mod:`repro.sampling.passes`.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 from ..base import Sampler
 from ..controller import SimulationController
 from ..estimators import WeightedClusterEstimator
+from ..passes import measure_intervals
 from .bbv import profile_bbv
 from .config import SimPointConfig
 from .kmeans import choose_clustering, random_projection
@@ -157,27 +161,18 @@ class SimPointSampler(Sampler):
         selection = select_simpoints_cached(controller, matrix_source,
                                             config)
 
-        # ---- pass 2: fast-forward / warm / measure each point ---------
+        # ---- pass 2: fast-forward / warm / measure each point, at
+        # the profiled intervals' *actual* starts ----------------------
+        measurements = measure_intervals(
+            controller, collector,
+            [index for index, _ in selection.points],
+            config.warmup_length)
         estimator = WeightedClusterEstimator()
-        interval = config.interval_length
         for index, weight in selection.points:
-            # use the profiled interval's *actual* start (the profile
-            # grid drifts from exact multiples at block boundaries)
-            start = collector.starts[index]
-            warm_start = max(0, start - config.warmup_length)
-            # checkpoint-accelerated when a ladder is attached; the
-            # first gap is the only pristine-fast one, so later gaps
-            # fall back to plain execution automatically
-            controller.fast_forward(warm_start)
-            warm_gap = start - controller.icount
-            if warm_gap > 0:
-                controller.run_warming(warm_gap)
-            executed, cycles = controller.run_timed(interval)
-            if executed:
+            if index in measurements:
+                executed, cycles = measurements[index]
                 estimator.add_cluster(weight,
                                       executed / cycles if cycles else 0.0)
-            if controller.finished:
-                break
         outcome = {
             "ipc": estimator.ipc(),
             "timed_intervals": selection.num_points,

@@ -29,8 +29,9 @@ from typing import Dict, List, Sequence, Tuple
 from repro.vm.stats import MONITORABLE
 
 from .base import Sampler
-from .cheapstats import collect_cheap_stats, measure_intervals
+from .cheapstats import collect_cheap_stats
 from .controller import SimulationController
+from .passes import measure_intervals
 
 
 def quantile_strata(scores: Sequence[float], n_strata: int) -> List[int]:

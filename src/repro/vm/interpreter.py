@@ -6,10 +6,10 @@ uses it for exact-length runs (sampling-interval tails) and the test
 suite uses it as an independent reference implementation to co-simulate
 against the binary translator.
 
-``step`` executes exactly one instruction at ``state.pc``: it updates
-registers and the PC, optionally emits one event to ``sink`` and returns
-normally, or raises a :class:`~repro.mem.faults.GuestFault` leaving the
-PC at the faulting instruction.
+``step_run`` executes one decoded superblock from ``state.pc``: each
+instruction updates registers and the PC and optionally emits one event
+to ``sink``; a :class:`~repro.mem.faults.GuestFault` leaves the PC at
+the faulting instruction.
 """
 
 from __future__ import annotations
@@ -139,13 +139,13 @@ class Interpreter:
     def step_run(self, sink=None, budget: int = 1 << 30) -> int:
         """Dispatch one superblock as a unit; returns instructions retired.
 
-        Executes decoded instructions back-to-back without the
-        per-``step()`` cache lookup, bumping ``state.icount`` per
-        instruction so guest counter reads stay exact.  Stops at the run
-        end, the ``budget``, a HALT, or a flush of the decode cache
-        (self-modifying code mid-run).  On a guest fault the retired
-        count is recoverable via :meth:`consume_progress` — the faulting
-        instruction itself is *not* counted, matching ``step()``.
+        Executes decoded instructions back-to-back, bumping
+        ``state.icount`` per instruction so guest counter reads stay
+        exact.  Stops at the run end, the ``budget``, a HALT, or a flush
+        of the decode cache (self-modifying code mid-run).  On a guest
+        fault the retired count is recoverable via
+        :meth:`consume_progress` — the faulting instruction itself is
+        *not* counted.
         """
         state = self.state
         pc = state.pc
@@ -182,24 +182,6 @@ class Interpreter:
         progress = self._progress
         self._progress = 0
         return progress
-
-    # ------------------------------------------------------------------
-    # single-step (the reference path)
-
-    def step(self, sink=None) -> None:
-        """Execute the instruction at ``state.pc``; see module docstring."""
-        state = self.state
-        pc = state.pc
-        instr = self._decoded.get(pc)
-        if instr is None:
-            word = self.mmu.fetch_word(pc)
-            try:
-                instr = decode(word)
-            except DecodeError:
-                raise IllegalInstruction(pc, word) from None
-            self._decoded[pc] = instr
-            self._register(pc, 1)
-        self._exec(instr, pc, sink)
 
     def _exec(self, instr, pc: int, sink=None) -> None:
         """Execute one decoded instruction at ``pc``."""
@@ -420,17 +402,3 @@ class Interpreter:
         state.pc = next_pc
         if sink is not None:
             sink.on_inst(pc, _CLS[op], dst, src1, src2, addr, taken, target)
-
-    def run(self, max_instructions: int, sink=None) -> int:
-        """Step up to ``max_instructions``; returns instructions retired.
-
-        Stops early on HALT.  Guest faults propagate to the caller with
-        the PC at the faulting instruction and the retired count lost —
-        use :class:`repro.vm.machine.Machine` for fault handling.
-        """
-        state = self.state
-        executed = 0
-        while executed < max_instructions and not state.halted:
-            self.step(sink)
-            executed += 1
-        return executed

@@ -33,3 +33,7 @@ def iterate_bad(values):
     for item in sorted(set(values)):  # fine: sorted
         total += item
     return total
+
+
+def dated():
+    return time.strftime("%Y")  # line 39: formats the current time

@@ -22,6 +22,7 @@ GOLDEN = {
     ("REPRO001", "vm/bad_nondet.py", 16),    # unseeded random.Random()
     ("REPRO001", "vm/bad_nondet.py", 29),    # set-literal iteration
     ("REPRO001", "vm/bad_nondet.py", 31),    # set(...) iteration
+    ("REPRO001", "vm/bad_nondet.py", 39),    # time.strftime()
     ("REPRO002", "exec/bad_store.py", 8),    # open(..., "w")
     ("REPRO002", "exec/bad_store.py", 9),    # json.dump
     ("REPRO002", "exec/bad_store.py", 13),   # bare write_text

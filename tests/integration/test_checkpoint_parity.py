@@ -22,8 +22,10 @@ import pytest
 from repro.exec.ckptstore import (CheckpointLadder, CheckpointStore,
                                   program_fingerprint)
 from repro.kernel.checkpoint import restore, take
-from repro.sampling import (CheckpointedSimPointSampler, SimPointConfig,
-                            SimPointSampler, SimulationController)
+from repro.sampling import (CheckpointedSimPointSampler, RankedSetConfig,
+                            RankedSetSampler, SimPointConfig,
+                            SimPointSampler, SimulationController,
+                            StratifiedConfig, StratifiedSampler)
 from repro.timing import TimingConfig
 from repro.workloads import (SUITE_MACHINE_KWARGS, WorkloadBuilder,
                              load_benchmark)
@@ -87,7 +89,7 @@ CONFIG = SimPointConfig(interval_length=1000, max_clusters=10,
                         warmup_length=2000)
 
 
-def run_policy_once(sampler_cls, store_root=None):
+def run_policy_once(make_sampler, store_root=None):
     workload = parity_workload()
     controller = SimulationController(
         workload, machine_kwargs=SUITE_MACHINE_KWARGS)
@@ -95,26 +97,42 @@ def run_policy_once(sampler_cls, store_root=None):
         controller.attach_checkpoints(CheckpointLadder(
             CheckpointStore(store_root),
             program_fingerprint(workload), "testcfg"))
-    result = sampler_cls(CONFIG).run(controller)
+    result = make_sampler().run(controller)
     return result.canonical_dict(), dict(controller.checkpoint_stats)
 
 
-@pytest.mark.parametrize("sampler_cls",
-                         [SimPointSampler, CheckpointedSimPointSampler])
-def test_policy_parity_off_cold_warm(sampler_cls, tmp_path):
-    off, _ = run_policy_once(sampler_cls, None)
-    cold, cold_stats = run_policy_once(sampler_cls, tmp_path / "ckpt")
-    warm, warm_stats = run_policy_once(sampler_cls, tmp_path / "ckpt")
+#: one factory per two-pass policy family, so each pass-1 artifact
+#: (``profile-L``, ``mavprofile-L``, ``cheapstats-L``) round-trips
+TWO_PASS_SAMPLERS = [
+    pytest.param(lambda: SimPointSampler(CONFIG), id="SimPointSampler"),
+    pytest.param(lambda: CheckpointedSimPointSampler(CONFIG),
+                 id="CheckpointedSimPointSampler"),
+    pytest.param(lambda: SimPointSampler(
+        dataclasses.replace(CONFIG, mav=True)), id="SimPointSampler-mav"),
+    pytest.param(lambda: StratifiedSampler(StratifiedConfig(
+        interval_length=1000, budget=6, warmup_length=2000)),
+        id="StratifiedSampler"),
+    pytest.param(lambda: RankedSetSampler(RankedSetConfig(
+        interval_length=1000, cycles=2, warmup_length=2000)),
+        id="RankedSetSampler"),
+]
+
+
+@pytest.mark.parametrize("make_sampler", TWO_PASS_SAMPLERS)
+def test_policy_parity_off_cold_warm(make_sampler, tmp_path):
+    off, _ = run_policy_once(make_sampler, None)
+    cold, cold_stats = run_policy_once(make_sampler, tmp_path / "ckpt")
+    warm, warm_stats = run_policy_once(make_sampler, tmp_path / "ckpt")
 
     assert off == cold == warm
 
     # the warm run actually consumed the store (every policy memoizes
-    # its profile; the recorder-driven policy also restores rungs — a
-    # plain SimPoint whose first warm-up window starts at icount 0 has
-    # no pristine gap to checkpoint)
+    # its profile once; the recorder-driven policy also restores rungs
+    # — a plain SimPoint whose first warm-up window starts at icount 0
+    # has no pristine gap to checkpoint)
     assert cold_stats["profile_cache_hits"] == 0
-    assert warm_stats["profile_cache_hits"] > 0
-    if sampler_cls is CheckpointedSimPointSampler:
+    assert warm_stats["profile_cache_hits"] == 1
+    if off["policy"] == "simpoint-ckpt":
         assert cold_stats["published"] > 0
         assert warm_stats["restores"] > 0
         assert warm_stats["skipped_instructions"] > 0
@@ -123,10 +141,10 @@ def test_policy_parity_off_cold_warm(sampler_cls, tmp_path):
 def test_warm_run_skips_wall_clock_not_charges(tmp_path):
     """The cost model is warmth-invariant: identical modeled seconds
     and instruction charges, only host wall time may change."""
-    cold, _ = run_policy_once(CheckpointedSimPointSampler,
-                              tmp_path / "ckpt")
-    warm, _ = run_policy_once(CheckpointedSimPointSampler,
-                              tmp_path / "ckpt")
+    cold, _ = run_policy_once(
+        lambda: CheckpointedSimPointSampler(CONFIG), tmp_path / "ckpt")
+    warm, _ = run_policy_once(
+        lambda: CheckpointedSimPointSampler(CONFIG), tmp_path / "ckpt")
     for key in ("modeled_seconds", "total_instructions",
                 "profile_instructions", "fast_instructions",
                 "warming_instructions", "timed_instructions"):

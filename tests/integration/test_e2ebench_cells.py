@@ -5,8 +5,9 @@ interpreter entering through the CLI's calls, wrapping the controller
 entry points it profiles (``repro.sampling.make_controller``, the
 ``run_*`` primitives of ``SimulationController`` and
 ``repro.sampling.smp.SmpSimulationController``).  These tests run one
-2-core and one single-core cell that way, untraced and traced, and pin
-each result digest to ``e2ebench/references.json``.
+2-core and one single-core cell that way, plus two two-pass (profile,
+then measure) cells, untraced and traced, and pin each result digest to
+``e2ebench/references.json``.
 """
 
 import json
@@ -21,7 +22,9 @@ ROOT = Path(__file__).resolve().parents[2]
 REFERENCES = json.loads(
     (ROOT / "e2ebench" / "references.json").read_text())["cells"]
 
-CELLS = ("lockcnt|full|tiny|c2", "art|CPU-300-1M-inf|tiny|c1")
+CELLS = ("lockcnt|full|tiny|c2", "art|CPU-300-1M-inf|tiny|c1",
+         # two-pass policies: pass 1 profiles and publishes artifacts
+         "art|stratified|small|c1", "mcf|simpoint-ckpt|small|c1")
 
 
 def run_cell(cell, trace, tmp_path):

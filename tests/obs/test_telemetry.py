@@ -3,6 +3,8 @@ the staleness detector that separates slow jobs from dead workers."""
 
 import json
 
+import pytest
+
 from repro.obs import telemetry
 
 
@@ -33,6 +35,16 @@ def test_heartbeat_writes_atomic_snapshots(tmp_path):
     assert payload["ts"] > payload["started_at"]
     assert "metrics" in payload
     assert not list(writer.path.parent.glob("*.tmp"))  # renamed away
+
+
+def test_failed_heartbeat_write_leaves_no_temp_file(tmp_path):
+    writer = telemetry.HeartbeatWriter(tmp_path, "gzip:full:tiny",
+                                       clock=_mk_clock())
+    writer.path.mkdir(parents=True)  # os.replace onto a directory fails
+    (writer.path / "occupied").write_text("x")
+    with pytest.raises(OSError):
+        writer.beat()
+    assert not list(writer.path.parent.glob("*.tmp"))
 
 
 def test_heartbeat_filename_is_sanitized(tmp_path):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sampling import mav_matrix
-from repro.sampling.simpoint import stride_bucket, touch_histograms
+from repro.sampling import make_controller, mav_matrix
+from repro.sampling.simpoint import (profile_bbv, profile_bbv_mav,
+                                     stride_bucket, touch_histograms)
+from repro.workloads import SUITE_MACHINE_KWARGS, load_benchmark
 
 
 # ----------------------------------------------------------------------
@@ -100,3 +102,29 @@ def test_mav_matrix_empty_intervals_are_zero_rows():
 
 def test_mav_matrix_no_intervals():
     assert mav_matrix([], []).shape[0] == 0
+
+
+# ----------------------------------------------------------------------
+# the profiling pass
+
+@pytest.mark.parametrize("bench, n_cores, intervals",
+                         [("gcc", 1, 47), ("lockcnt", 2, 10)])
+def test_mav_pass_sees_the_plain_bbv_pass(bench, n_cores, intervals):
+    """Riding the MAV histograms on the profiling pass changes none of
+    its BBVs, interval starts or charged instructions."""
+    def controller():
+        kwargs = dict(SUITE_MACHINE_KWARGS)
+        if n_cores > 1:
+            kwargs["n_cores"] = n_cores
+        return make_controller(load_benchmark(bench, size="tiny"),
+                               machine_kwargs=kwargs)
+
+    plain_controller, mav_controller = controller(), controller()
+    plain = profile_bbv(plain_controller, 1000)
+    bbv, mav = profile_bbv_mav(mav_controller, 1000)
+    assert len(plain.vectors) == intervals
+    assert bbv.vectors == plain.vectors
+    assert bbv.starts == plain.starts
+    assert len(mav.page_hists) == len(mav.stride_hists) == intervals
+    assert mav_controller.breakdown.profile_instructions \
+        == plain_controller.breakdown.profile_instructions > 0
