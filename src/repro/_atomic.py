@@ -12,21 +12,29 @@ import contextlib
 import os
 import uuid
 from pathlib import Path
-from typing import Union
+from typing import BinaryIO, Iterator, Union
 
 
-def atomic_write_bytes(path: Union[str, Path], payload: bytes) -> None:
-    """Land ``payload`` at ``path`` all at once: write a uniquely named
-    temp file in the same directory, then ``os.replace`` it over the
-    target, so a reader sees the old file or the new one, never a torn
-    mix.  A failed write removes its temp file."""
+@contextlib.contextmanager
+def atomic_writer(path: Union[str, Path]) -> Iterator[BinaryIO]:
+    """Stream a file into place: the body writes to a uniquely named
+    temp file in the same directory, which is then ``os.replace``-d
+    over ``path``, so a reader sees the old file or the new one, never
+    a torn mix.  If the body or the rename fails, the temp file is
+    removed and the error propagates."""
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
     try:
         with open(tmp, "wb") as handle:
-            handle.write(payload)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path: Union[str, Path], payload: bytes) -> None:
+    """Land ``payload`` at ``path`` all at once (:func:`atomic_writer`)."""
+    with atomic_writer(path) as handle:
+        handle.write(payload)

@@ -186,7 +186,7 @@ class StoreDisciplineRule(Rule):
 
     #: substrings marking a module as store code
     STORE_MARKERS: Tuple[str, ...] = ("results-v2", "checkpoints-v1",
-                                      "telemetry-v1", "codecache-v1")
+                                      "telemetry-v1", "codecache-v2")
 
     def applies_to(self, source: SourceFile) -> bool:
         if source.rel.startswith("exec/"):

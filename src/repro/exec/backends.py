@@ -240,6 +240,10 @@ class ProcessPoolBackend(ExecutionBackend):
         for key, entry in list(running.items()):
             outcome = None
             crashed = False
+            # liveness first: a worker that sends its result and exits
+            # between the two checks must not read as a crash, so a
+            # crash is a pipe still empty after the process died
+            alive = entry.proc.is_alive()
             if entry.conn.poll():
                 try:
                     status, payload = entry.conn.recv()
@@ -250,7 +254,7 @@ class ProcessPoolBackend(ExecutionBackend):
                         outcome = self._ok(entry, payload, now)
                     else:
                         outcome = self._failed(entry, payload, now)
-            elif not entry.proc.is_alive():
+            elif not alive:
                 crashed = True
             elif entry.deadline is not None and now >= entry.deadline:
                 self._kill(entry)

@@ -91,6 +91,8 @@ def execute_spec(spec: JobSpec,
             heartbeat = None
         raise
     finally:
+        from . import codecache
+        codecache.flush()  # pool workers leave through os._exit
         if heartbeat is not None:
             heartbeat.stop("done")
         if spec.telemetry_dir and not metrics_were_enabled:

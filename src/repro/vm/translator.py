@@ -191,8 +191,9 @@ def event_fields(instr: Instr) -> tuple:
 #: re-compile the exact same blocks in every Machine.  Values are
 #: ``(code, source)`` so ``Translator.last_source`` stays accurate on
 #: hits.  Behind it sits the persistent code cache
-#: (:mod:`repro.exec.codecache`, ``codecache-v1/``), which carries
-#: vetted code objects across processes; see :func:`compile_block`.
+#: (:mod:`repro.exec.codecache`, one pack per job under
+#: ``codecache-v2/``), which carries vetted code objects across
+#: processes; see :func:`compile_block`.
 _CODE_CACHE: dict = {}
 _CODE_CACHE_CAPACITY = 8192
 

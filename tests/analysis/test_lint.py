@@ -26,7 +26,7 @@ GOLDEN = {
     ("REPRO002", "exec/bad_store.py", 8),    # open(..., "w")
     ("REPRO002", "exec/bad_store.py", 9),    # json.dump
     ("REPRO002", "exec/bad_store.py", 13),   # bare write_text
-    ("REPRO002", "harness/bad_codecache.py", 6),  # codecache-v1 marker
+    ("REPRO002", "harness/bad_codecache.py", 6),  # codecache-v2 marker
     ("REPRO003", "sampling/bad_volatile.py", 7),   # canonical dict key
     ("REPRO003", "sampling/bad_volatile.py", 12),  # bare subscript store
     ("REPRO004", "mem/bad_dynamic.py", 5),   # compile()
@@ -254,7 +254,7 @@ def test_code_cache_is_the_one_sanctioned_unmarshaller():
     moved = SourceFile(shipped.path, "exec/elsewhere.py", shipped.text)
     assert by_id["REPRO004"].applies_to(moved)
     assert [f.rule for f in by_id["REPRO004"].check(moved)] == ["REPRO004"]
-    assert "codecache-v1" in StoreDisciplineRule.STORE_MARKERS
+    assert "codecache-v2" in StoreDisciplineRule.STORE_MARKERS
     outside = SourceFile(Path("x.py"), "harness/x.py",
-                         'DIR = "codecache-v1"\n')
+                         'DIR = "codecache-v2"\n')
     assert by_id["REPRO002"].applies_to(outside)

@@ -188,7 +188,9 @@ def test_rejects_syntax_error(monkeypatch, tmp_path):
             ("syntax-error-test",), lambda: "def _block(state budget:\n",
             {}, "<block>", "fast", lambda source: None, 0, "fast")
     assert sanitizer.stats() == {"checked": 0, "rejected": 0}
-    assert not (tmp_path / "codecache-v1").exists()
+    from repro.exec import codecache
+    codecache.flush()
+    assert not (tmp_path / codecache.CODECACHE_DIR_NAME).exists()
 
 
 # ----------------------------------------------------------------------
@@ -285,9 +287,12 @@ def _block(state, budget):
 
 
 def test_returned_tree_compiles_to_identical_code(monkeypatch, tmp_path):
-    """Over a real tiny run, every persisted code-cache entry holds
-    exactly ``marshal.dumps(compile(source))`` of the vetted source."""
+    """Over a real tiny run, every persisted code-cache record is
+    exactly key ‖ digest ‖ ``marshal.dumps(compile(source))`` of the
+    vetted source."""
+    import hashlib
     import marshal
+    import struct
 
     from repro.exec import codecache
     from repro.vm import translator as translator_module
@@ -305,14 +310,25 @@ def test_returned_tree_compiles_to_identical_code(monkeypatch, tmp_path):
 
     monkeypatch.setattr(sanitizer, "sanitize_block_source", recording)
     load_benchmark("gzip", size="tiny").boot().run_to_completion()
+    codecache.flush()
     assert len(vetted) > 10
+    (pack,) = (tmp_path / codecache.CODECACHE_DIR_NAME).glob("*.pack")
+    data = pack.read_bytes()
+    count = struct.unpack_from("<8sI", data)[1]
+    records = {}
+    for index in range(count):
+        slot_key, offset, length = struct.unpack_from(
+            "<32sQI", data, 12 + 44 * index)
+        records[slot_key] = data[offset:offset + length]
+    assert count == len(records) == len(vetted)
     for filename, env_names, source in vetted:
         key = codecache.entry_key(filename, env_names, source)
-        with open(codecache.entry_path(key), "rb") as handle:
-            entry = handle.read()
-        assert entry[:32] == key
-        assert entry[64:] == marshal.dumps(
-            compile(source, filename, "exec", dont_inherit=True))
+        # held in a name, as the translator holds it: marshal flags
+        # objects that have other references
+        code = compile(source, filename, "exec", dont_inherit=True)
+        payload = marshal.dumps(code)
+        assert records[key] == (key + hashlib.sha256(payload).digest()
+                                + payload)
 
 
 # ----------------------------------------------------------------------

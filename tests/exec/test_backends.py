@@ -97,6 +97,54 @@ def test_worker_crash_is_retried(tmp_path, monkeypatch):
         assert job_result.attempts == 2  # crashed once, then succeeded
 
 
+class RacingWorker:
+    """Fake worker process and pipe end in one: it sends its result and
+    exits right after the parent's first poll found the pipe empty."""
+
+    def __init__(self, message):
+        self.message = message
+        self.sent = None
+        self.exitcode = None
+
+    def is_alive(self):
+        return self.exitcode is None
+
+    def poll(self):
+        ready = self.sent is not None
+        if self.is_alive():
+            self.sent, self.exitcode = self.message, 0
+        return ready
+
+    def recv(self):
+        return self.sent
+
+    def join(self, timeout=None):
+        pass
+
+    def close(self):
+        pass
+
+
+def test_result_sent_just_before_exit_is_not_a_crash():
+    from collections import deque
+
+    from repro.exec.backends import _Running
+
+    spec = _specs(1)[0]
+    worker = RacingWorker(("ok", _fake_result(spec).to_dict()))
+    running = {spec.key: _Running(spec=spec, proc=worker, conn=worker,
+                                  attempt=1, started=time.perf_counter(),
+                                  deadline=None)}
+    pending = deque()
+    backend = ProcessPoolBackend(jobs=1, crash_retries=1)
+    assert backend._reap(running, pending) == []
+    assert not pending            # not re-queued as a crash
+    (job_result,) = backend._reap(running, pending)
+    assert job_result.ok
+    assert job_result.attempts == 1
+    assert not running and not pending
+
+
 def test_worker_crash_retry_is_bounded():
     backend = ProcessPoolBackend(jobs=2, crash_retries=1,
                                  worker=always_crashing_worker)

@@ -3,21 +3,22 @@
 Runs the cells of the three parity suites — the engines
 (``test_fastpath_parity``), the megablock tier built and declined
 (``test_megablock_parity``) and checkpoint acceleration off/cold/warm
-(``test_checkpoint_parity``) — three times over one ``codecache-v1/``
+(``test_checkpoint_parity``) — three times over one ``codecache-v2/``
 directory:
 
 * **cold** — the directory is empty: every block is vetted, compiled
   and persisted;
 * **warm** — the in-process cache is dropped, so every block comes
   from disk: nothing is vetted and nothing is corrupt;
-* **corrupt** — every entry is truncated or has a bit flipped first:
-  each one must read as a miss and be vetted and compiled afresh.
+* **corrupt** — every record is torn or has a bit flipped first: each
+  one must read as a miss and be vetted and compiled afresh.
 
 All three must give bit-identical canonical results, VM-stat snapshots
 and decision timelines.
 """
 
 import dataclasses
+import struct
 
 from repro import obs
 from repro.analysis import sanitizer
@@ -105,24 +106,36 @@ def suite_results(ckpt_root):
 
 
 def fresh_process_state():
-    """What a new process starts with: no in-process code, no counts."""
+    """What a new process starts with: no in-process code, no counts,
+    and no queued records or pack index (the previous "process" flushed
+    its records as the end of a job does)."""
+    codecache.flush()
     translator_module._CODE_CACHE.clear()
     sanitizer.reset_stats()
     codecache.reset_stats()
 
 
+#: a pack's header (magic, record count) and index slot (key, record
+#: offset, record length)
+HEADER = struct.Struct("<8sI")
+SLOT = struct.Struct("<32sQI")
+
+
 def corrupt_every_entry(root):
-    paths = sorted(root.rglob("*.bin"))
-    for index, path in enumerate(paths):
-        data = path.read_bytes()
-        if index % 2:
-            data = data[:len(data) // 2]                   # torn
-        else:
-            spot = 64 + index % (len(data) - 64)           # in payload
-            data = (data[:spot] + bytes([data[spot] ^ 0x04])
-                    + data[spot + 1:])
-        path.write_bytes(data)
-    return len(paths)
+    damaged = 0
+    for path in sorted(root.glob("*.pack")):
+        data = bytearray(path.read_bytes())
+        for index in range(HEADER.unpack_from(data)[1]):
+            _, offset, length = SLOT.unpack_from(
+                data, HEADER.size + index * SLOT.size)
+            if damaged % 2:                                # torn
+                half = length // 2
+                data[offset + half:offset + length] = bytes(length - half)
+            else:                                          # in payload
+                data[offset + 64 + damaged % (length - 64)] ^= 0x04
+            damaged += 1
+        path.write_bytes(bytes(data))
+    return damaged
 
 
 def test_cold_warm_corrupt_code_cache_give_identical_results(
